@@ -5,8 +5,7 @@
  * tables print, and the command-line plumbing every bench accepts:
  *
  *   --nodes=N            machine size (benches with a size knob)
- *   --threads=T          parallel-backend worker threads (0 = auto)
- *   --engine=NAME        auto | wheel | heap | parallel
+ *   --engine=NAME        auto | wheel | heap
  *   --protocol=NAME      auto | update | invalidate (docs/PROTOCOLS.md)
  *   --trace-out=<file>   Perfetto JSON trace
  *   --stats-out=<file>   metrics + traffic JSON
@@ -31,7 +30,6 @@ namespace bench {
 /** The harness options common to every bench, parsed from argv. */
 struct HarnessArgs {
     unsigned nodes = 0;           ///< --nodes=N; 0 = bench default
-    unsigned threads = 0;         ///< --threads=T; 0 = auto
     Engine engine = Engine::Auto; ///< --engine=NAME
     Protocol protocol = Protocol::Auto; ///< --protocol=NAME
     std::string traceOut;         ///< --trace-out=<file>
@@ -64,7 +62,7 @@ harnessArgs()
  * Consume the common harness options from @p argv into the returned
  * (and process-wide, see harnessArgs()) struct; bench-specific flags
  * land in HarnessArgs::rest. Call once at the top of main;
- * machineBuilder() then applies the engine/threads/telemetry choices
+ * machineBuilder() then applies the engine/protocol/telemetry choices
  * automatically. Exits with usage on a malformed common flag.
  */
 inline HarnessArgs&
@@ -82,13 +80,10 @@ parseHarnessArgs(int argc, char** argv)
             prof::enable(true);
         } else if (arg.rfind("--nodes=", 0) == 0) {
             args.nodes = static_cast<unsigned>(std::stoul(arg.substr(8)));
-        } else if (arg.rfind("--threads=", 0) == 0) {
-            args.threads =
-                static_cast<unsigned>(std::stoul(arg.substr(10)));
         } else if (arg.rfind("--engine=", 0) == 0) {
             if (!engineFromString(arg.substr(9), args.engine)) {
                 std::cerr << "unknown --engine '" << arg.substr(9)
-                          << "' (want auto|wheel|heap|parallel)\n";
+                          << "' (want auto|wheel|heap)\n";
                 std::exit(2);
             }
         } else if (arg.rfind("--protocol=", 0) == 0) {
@@ -107,7 +102,7 @@ parseHarnessArgs(int argc, char** argv)
 /**
  * The machine builder used by the reproduction experiments: the
  * paper's cost model on @p nodes nodes with deep frame reserves, the
- * command line's engine/threads choice, and telemetry armed when any
+ * command line's engine/protocol choice, and telemetry armed when any
  * output file was requested. Benches chain further knobs and build().
  */
 inline MachineBuilder
@@ -119,7 +114,6 @@ machineBuilder(unsigned nodes, ProcessorMode mode = ProcessorMode::Delayed)
         .mode(mode)
         .engine(harnessArgs().engine)
         .protocol(harnessArgs().protocol)
-        .threads(harnessArgs().threads)
         .observer(harnessArgs().telemetry());
 }
 

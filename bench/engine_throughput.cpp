@@ -3,7 +3,7 @@
  * Engine throughput benchmark: how fast does the simulator itself run?
  *
  *   engine_throughput [--quick] [--micro-only] [--nodes=N]
- *                     [--out=<file>] [--parallel-out=<file>]
+ *                     [--out=<file>]
  *
  * Two measurements, reported as host events/sec:
  *
@@ -18,17 +18,10 @@
  *    cycles/sec end to end.
  *
  * --out writes the numbers as JSON (the committed BENCH_engine.json is
- * produced this way); --parallel-out writes the parallel backend's
- * threads-axis numbers on the 64-node harness (the committed
- * BENCH_parallel.json). The ci.sh perf-smoke stage reruns with --quick
+ * produced this way). The ci.sh perf-smoke stage reruns with --quick
  * and fails on a large regression. See docs/PERF.md.
  *
- * --micro-only stops after the scheduler micro benchmark. With
- * profiling on (--prof-out or PLUS_PROF=1) each parallel axis point
- * gets a host-time rollup (work / barrier-wait / mailbox-drain /
- * other percentages per thread) embedded in the --parallel-out JSON,
- * and an explicit --threads=T narrows the axis to that one thread
- * count.
+ * --micro-only stops after the scheduler micro benchmark.
  *
  * --prof-overhead runs only the profiler-overhead measurement the
  * ci.sh prof stage gates on: the wheel micro benchmark with the
@@ -189,11 +182,9 @@ struct MacroResult {
 /** The sim_harness mixed workload (writes through update chains,
  *  remote reads, delayed interlocked ops, fences) on @p nodes nodes. */
 MacroResult
-macroRun(Engine backend, unsigned nodes, unsigned iters,
-         unsigned threads = 0)
+macroRun(Engine backend, unsigned nodes, unsigned iters)
 {
-    auto machine_ptr =
-        machineBuilder(nodes).engine(backend).threads(threads).build();
+    auto machine_ptr = machineBuilder(nodes).engine(backend).build();
     core::Machine& machine = *machine_ptr;
 
     constexpr unsigned kCopies = 4;
@@ -269,80 +260,6 @@ writeJson(std::ostream& os, bool quick, unsigned nodes, double baseline,
        << "}\n";
 }
 
-/** One parallel axis point's host-time profile (prof enabled only). */
-struct ParProfile {
-    plus::prof::Rollup agg;
-    std::uint64_t windows = 0;
-    double widthMean = 0.0;
-    double eventsMean = 0.0;
-    std::uint64_t mailSum = 0;
-    std::uint64_t batches = 0;
-    double windowsPerBatch = 0.0;
-    double eventsPerBatch = 0.0;
-    std::vector<std::pair<std::string, plus::prof::Rollup>> threads;
-};
-
-void
-writeRollup(std::ostream& os, const plus::prof::Rollup& r)
-{
-    os << "{\"workPct\": " << r.workPct
-       << ", \"barrierPct\": " << r.barrierPct
-       << ", \"drainPct\": " << r.drainPct
-       << ", \"otherPct\": " << r.otherPct << "}";
-}
-
-/** The parallel backend's threads axis (BENCH_parallel.json). */
-void
-writeParallelJson(std::ostream& os, bool quick, unsigned nodes,
-                  const MacroResult& serial,
-                  const std::vector<std::pair<unsigned, MacroResult>>& axis,
-                  const std::vector<std::pair<unsigned, ParProfile>>& prof)
-{
-    os << "{\n"
-       << "  \"bench\": \"engine_throughput_parallel\",\n"
-       << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
-       << "  \"nodes\": " << nodes << ",\n"
-       << "  \"serialWheelEventsPerSec\": " << serial.eventsPerSec
-       << ",\n"
-       << "  \"harnessEvents\": " << serial.events << ",\n"
-       << "  \"threads\": {";
-    for (std::size_t i = 0; i < axis.size(); ++i) {
-        os << (i == 0 ? "" : ", ") << "\"" << axis[i].first
-           << "\": " << axis[i].second.eventsPerSec;
-    }
-    os << "},\n  \"speedups\": {";
-    for (std::size_t i = 0; i < axis.size(); ++i) {
-        os << (i == 0 ? "" : ", ") << "\"" << axis[i].first << "\": "
-           << axis[i].second.eventsPerSec / serial.eventsPerSec;
-    }
-    os << "}";
-    if (!prof.empty()) {
-        os << ",\n  \"profile\": {";
-        for (std::size_t i = 0; i < prof.size(); ++i) {
-            const ParProfile& p = prof[i].second;
-            os << (i == 0 ? "" : ", ") << "\n    \"" << prof[i].first
-               << "\": {\"rollup\": ";
-            writeRollup(os, p.agg);
-            os << ", \"windows\": " << p.windows
-               << ", \"widthMean\": " << p.widthMean
-               << ", \"eventsMean\": " << p.eventsMean
-               << ", \"mailSum\": " << p.mailSum
-               << ", \"batches\": " << p.batches
-               << ", \"windowsPerBatch\": " << p.windowsPerBatch
-               << ", \"eventsPerBatch\": " << p.eventsPerBatch
-               << ", \"threads\": {";
-            for (std::size_t t = 0; t < p.threads.size(); ++t) {
-                os << (t == 0 ? "" : ", ") << "\"" << p.threads[t].first
-                   << "\": ";
-                writeRollup(os, p.threads[t].second);
-            }
-            os << "}}";
-        }
-        os << "}";
-    }
-    os << "\n}\n";
-}
-
 } // namespace
 
 int
@@ -354,7 +271,6 @@ main(int argc, char** argv)
     bool prof_overhead = false;
     const unsigned nodes = args.nodesOr(16);
     std::string out;
-    std::string parallel_out;
     for (const std::string& arg : args.rest) {
         if (arg == "--quick") {
             quick = true;
@@ -364,12 +280,10 @@ main(int argc, char** argv)
             prof_overhead = true;
         } else if (arg.rfind("--out=", 0) == 0) {
             out = arg.substr(6);
-        } else if (arg.rfind("--parallel-out=", 0) == 0) {
-            parallel_out = arg.substr(15);
         } else {
             std::cerr << "usage: engine_throughput [--quick] "
                          "[--micro-only] [--prof-overhead] [--nodes=N] "
-                         "[--out=<file>] [--parallel-out=<file>]\n";
+                         "[--out=<file>]\n";
             return 2;
         }
     }
@@ -432,62 +346,9 @@ main(int argc, char** argv)
 
     MacroResult macro_wheel;
     MacroResult macro_heap;
-    MacroResult par_serial;
-    std::vector<std::pair<unsigned, MacroResult>> par_axis;
-    std::vector<std::pair<unsigned, ParProfile>> par_prof;
-    const unsigned par_nodes = std::max(nodes, 64u);
     if (!micro_only) {
         macro_wheel = macroRun(Engine::Wheel, nodes, macro_iters);
         macro_heap = macroRun(Engine::Heap, nodes, macro_iters);
-
-        // The parallel backend's threads axis, on the larger harness
-        // the perf gate watches (64 nodes unless --nodes says
-        // otherwise). An explicit --threads narrows the axis.
-        par_serial = macroRun(Engine::Wheel, par_nodes, macro_iters);
-        std::vector<unsigned> counts{1u, 2u, 4u, 8u};
-        if (args.threads != 0) {
-            counts.assign(1, args.threads);
-        }
-        for (unsigned t : counts) {
-            if (t > par_nodes) {
-                break;
-            }
-            // Isolate each axis point's profile: reset before, collect
-            // after, so the rollup describes exactly this run.
-            if (prof::enabled()) {
-                prof::reset();
-            }
-            par_axis.emplace_back(
-                t, macroRun(Engine::Parallel, par_nodes, macro_iters, t));
-            if (prof::enabled()) {
-                const prof::Summary s = prof::collect();
-                ParProfile p;
-                p.agg = prof::aggregateRollup(s);
-                p.windows = s.windows;
-                p.mailSum = s.windowMailSum;
-                p.batches = s.batches;
-                if (s.batches > 0) {
-                    p.windowsPerBatch =
-                        static_cast<double>(s.batchWindowsSum) /
-                        static_cast<double>(s.batches);
-                    p.eventsPerBatch =
-                        static_cast<double>(s.batchEventsSum) /
-                        static_cast<double>(s.batches);
-                }
-                if (s.windows > 0) {
-                    p.widthMean = static_cast<double>(s.windowWidthSum) /
-                                  static_cast<double>(s.windows);
-                    p.eventsMean =
-                        static_cast<double>(s.windowEventsSum) /
-                        static_cast<double>(s.windows);
-                }
-                for (const prof::Summary::Thread& st : s.threads) {
-                    p.threads.emplace_back(
-                        st.label, prof::rollupOf(st, s.runWallTicks));
-                }
-                par_prof.emplace_back(t, p);
-            }
-        }
     }
 
     TablePrinter table;
@@ -500,11 +361,6 @@ main(int argc, char** argv)
     table.addRow({"engine/wheel", TablePrinter::num(wheel),
                   TablePrinter::num(macro_wheel.eventsPerSec),
                   TablePrinter::num(macro_wheel.cyclesPerSec)});
-    for (const auto& [t, r] : par_axis) {
-        table.addRow({"parallel x" + std::to_string(t), "-",
-                      TablePrinter::num(r.eventsPerSec),
-                      TablePrinter::num(r.cyclesPerSec)});
-    }
     finishTable(table, "speedup vs baseline: " +
                            TablePrinter::num(wheel / baseline, 2) + "x");
 
@@ -519,15 +375,6 @@ main(int argc, char** argv)
     } else {
         writeJson(std::cout, quick, nodes, baseline, wheel, heap,
                   macro_wheel, macro_heap);
-    }
-    if (!parallel_out.empty() && !micro_only) {
-        std::ofstream os(parallel_out);
-        if (!os) {
-            std::cerr << "cannot open " << parallel_out << "\n";
-            return 1;
-        }
-        writeParallelJson(os, quick, par_nodes, par_serial, par_axis,
-                          par_prof);
     }
     return exportProf() ? 0 : 1;
 }

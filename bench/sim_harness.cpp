@@ -49,7 +49,7 @@ main(int argc, char** argv)
         if (arg.rfind("--out=", 0) == 0) {
             out = arg.substr(6);
         } else {
-            std::cerr << "usage: sim_harness [--nodes=N] [--threads=T] "
+            std::cerr << "usage: sim_harness [--nodes=N] "
                          "[--engine=NAME] [--trace-out=<file>] "
                          "[--stats-out=<file>] [--prof-out=<file>] "
                          "[--out=<file>]\n";

@@ -15,8 +15,7 @@
  * @code
  *   auto machine = plus::MachineBuilder()
  *                      .nodes(16)
- *                      .engine(plus::Engine::Parallel)
- *                      .threads(4)
+ *                      .engine(plus::Engine::Wheel)
  *                      .build();
  *   const plus::Addr counter = machine->alloc(plus::kPageBytes, 0);
  *   for (plus::NodeId n = 0; n < machine->nodeCount(); ++n)
@@ -46,15 +45,14 @@ using Machine = core::Machine;
 using Context = core::Context;
 
 /**
- * Simulation backend. Every backend realises the exact same event
+ * Simulation backend. Both backends realise the exact same event
  * order — byte-identical output is the determinism contract, enforced
  * by CI (docs/PERF.md) — so this only selects a performance profile.
  */
 enum class Engine : std::uint8_t {
-    Auto,     ///< honour the PLUS_ENGINE environment variable
-    Wheel,    ///< serial hierarchical timing wheel (the default)
-    Heap,     ///< serial priority-queue oracle
-    Parallel, ///< conservative multi-threaded wheels
+    Auto,  ///< honour the PLUS_ENGINE environment variable
+    Wheel, ///< hierarchical timing wheel (the default)
+    Heap,  ///< priority-queue oracle
 };
 
 constexpr const char*
@@ -64,12 +62,11 @@ toString(Engine engine)
       case Engine::Auto: return "auto";
       case Engine::Wheel: return "wheel";
       case Engine::Heap: return "heap";
-      case Engine::Parallel: return "parallel";
       default: return "?";
     }
 }
 
-/** Parse "auto" | "wheel" | "heap" | "parallel"; false if unknown. */
+/** Parse "auto" | "wheel" | "heap"; false if unknown. */
 inline bool
 engineFromString(std::string_view name, Engine& out)
 {
@@ -79,8 +76,6 @@ engineFromString(std::string_view name, Engine& out)
         out = Engine::Wheel;
     } else if (name == "heap") {
         out = Engine::Heap;
-    } else if (name == "parallel") {
-        out = Engine::Parallel;
     } else {
         return false;
     }
@@ -94,7 +89,6 @@ toSimEngine(Engine engine)
     switch (engine) {
       case Engine::Wheel: return SimEngine::Wheel;
       case Engine::Heap: return SimEngine::Heap;
-      case Engine::Parallel: return SimEngine::Parallel;
       case Engine::Auto:
       default: return SimEngine::Env;
     }
@@ -207,31 +201,6 @@ class MachineBuilder
     {
         config_.protocol = toCoherenceProtocol(p);
         config_.protocolOptIn = true;
-        return *this;
-    }
-
-    /**
-     * Worker threads for the parallel backend; 0 = auto (one per
-     * hardware core, at most one per node). Ignored by serial
-     * backends; must not exceed the node count.
-     */
-    MachineBuilder&
-    threads(unsigned t)
-    {
-        config_.simThreads = t;
-        return *this;
-    }
-
-    /**
-     * Spatial domains for the parallel backend; 0 = auto (up to 4 per
-     * thread). More domains than threads improves load balance; must
-     * be a multiple of the thread count and at most min(nodes, 62).
-     * Ignored by serial backends.
-     */
-    MachineBuilder&
-    domains(unsigned d)
-    {
-        config_.simDomains = d;
         return *this;
     }
 

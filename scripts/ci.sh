@@ -15,23 +15,17 @@
 #   6. trace:      telemetry smoke test — run a 4-node workload with
 #                  --trace-out/--stats-out, validate both as JSON, and
 #                  check that tracing leaves bench output bit-identical
-#   7. determinism: every engine backend must produce byte-for-byte
-#                  identical bench output — the full matrix is
-#                  {wheel, heap, parallel x 2 threads, parallel x 4
-#                  threads} x {update, invalidate} diffed against the
-#                  wheel run of the same protocol
+#   7. determinism: both engine backends must produce byte-for-byte
+#                  identical bench output — the matrix is {wheel, heap}
+#                  x {update, invalidate}, each heap run diffed against
+#                  the wheel run of the same protocol
 #   8. protocols:  per-protocol suites — tests/test_protocol, then
 #                  bench/protocol_shootout (both protocols, checker on,
 #                  each must win at least one sharing pattern) with the
 #                  JSON output schema validated
 #   9. perf-smoke: engine_throughput --quick, fail if the wheel's
 #                  throughput regressed >25% vs the committed
-#                  BENCH_engine.json or the speedup target is missed;
-#                  also gate the parallel backend against
-#                  BENCH_parallel.json (fail on >25% regression at any
-#                  thread count; core-gated scaling floors: >=1.0x at
-#                  2 threads on >=2 cores, >=2.5x at 8 threads on
-#                  >=8 cores)
+#                  BENCH_engine.json or the speedup target is missed
 #  10. chaos:      chaos_sweep under fixed fault seeds (drop 1%, dup 1%,
 #                  corrupt 0.5%, mixed + transient link kill) — every
 #                  run must reproduce the fault-free memory image, and
@@ -39,20 +33,17 @@
 #                  byte-identical to the committed golden/ files under
 #                  both engine backends
 #  11. recovery:   node-crash chaos matrix — the recovery unit tests,
-#                  then chaos_sweep --kill-node on wheel and
-#                  parallel x 2 threads; every run must leave the
-#                  surviving replicas mutually consistent and the
-#                  post-recovery image hash byte-identical across
-#                  backends
-#  12. tsan:       ThreadSanitizer build (PLUS_TSAN=ON) — the parallel
-#                  engine's tests plus the 2/4-thread determinism matrix
-#                  must run with zero TSan reports (skipped with a
+#                  then chaos_sweep --kill-node on wheel and heap;
+#                  every run must leave the surviving replicas mutually
+#                  consistent and the post-recovery image hash
+#                  byte-identical across backends
+#  12. tsan:       ThreadSanitizer build (PLUS_TSAN=ON) — the fiber,
+#                  engine and profiler tests plus wheel bench runs must
+#                  finish with zero TSan reports (skipped with a
 #                  warning when the toolchain lacks -fsanitize=thread)
-#  13. prof:       host-time profiler gates — a profiled parallel run
-#                  must attribute >=90% of each thread's wall clock
-#                  across {work, barrier, drain, other}, and the
-#                  profiler-off overhead on the serial wheel micro
-#                  benchmark must stay under 3% (best of 3)
+#  13. prof:       host-time profiler gate — the profiler-on overhead
+#                  on the wheel micro benchmark must stay under 3%
+#                  (best of 5)
 #
 # Usage: scripts/ci.sh [tier1|sanitize|tidy|lint|format|trace|determinism|
 #                       protocols|perf-smoke|chaos|recovery|tsan|prof|all]
@@ -175,30 +166,23 @@ run_determinism() {
     out="$(mktemp -d)"
     trap 'rm -rf "$out"' RETURN
 
-    # Every backend/thread-count combination must reproduce the wheel
-    # output exactly, under both coherence protocols (byte-identity is
-    # per protocol: update and invalidate legitimately differ from each
-    # other, see docs/PROTOCOLS.md). The parallel runs force --threads
-    # so the conservative engine really spins up worker domains even on
-    # single-core CI hosts (oversubscribed but functionally identical).
-    local proto combo
+    # The heap oracle must reproduce the wheel output exactly, under
+    # both coherence protocols (byte-identity is per protocol: update
+    # and invalidate legitimately differ from each other, see
+    # docs/PROTOCOLS.md).
+    local proto
     for proto in update invalidate; do
+        echo "--- $proto: heap vs wheel"
         build/bench/table_3_1 --engine=wheel --protocol="$proto" \
             > "$out/wheel_table.txt"
+        build/bench/table_3_1 --engine=heap --protocol="$proto" \
+            > "$out/table.txt"
+        diff "$out/wheel_table.txt" "$out/table.txt"
         build/bench/sim_harness --nodes=16 --engine=wheel \
             --protocol="$proto" > "$out/wheel_harness.txt"
-        for combo in "heap:0" "parallel:2" "parallel:4"; do
-            local eng="${combo%%:*}" thr="${combo##*:}"
-            local flags="--engine=$eng --protocol=$proto"
-            if [ "$thr" != 0 ]; then flags="$flags --threads=$thr"; fi
-            echo "--- $proto: $eng threads=$thr vs wheel"
-            # shellcheck disable=SC2086
-            build/bench/table_3_1 $flags > "$out/table.txt"
-            diff "$out/wheel_table.txt" "$out/table.txt"
-            # shellcheck disable=SC2086
-            build/bench/sim_harness --nodes=16 $flags > "$out/harness.txt"
-            diff "$out/wheel_harness.txt" "$out/harness.txt"
-        done
+        build/bench/sim_harness --nodes=16 --engine=heap \
+            --protocol="$proto" > "$out/harness.txt"
+        diff "$out/wheel_harness.txt" "$out/harness.txt"
     done
     echo "all engine backends are cycle-for-cycle identical per protocol"
 }
@@ -239,8 +223,7 @@ run_perf_smoke() {
     # failing on one slow sample.
     local attempt wheel_ok=0
     for attempt in 1 2 3; do
-        build/bench/engine_throughput --quick --out="$out/bench.json" \
-            --parallel-out="$out/parallel.json"
+        build/bench/engine_throughput --quick --out="$out/bench.json"
         if python3 - "$out/bench.json" BENCH_engine.json <<'EOF'
 import json, sys
 now = json.load(open(sys.argv[1]))
@@ -263,41 +246,6 @@ EOF
         echo "perf-smoke: wheel gate failed on all attempts" >&2
         return 1
     fi
-
-    # The parallel-backend gate needs real cores: conservative windows
-    # cannot speed anything up on a 1-core host, so each scaling
-    # target is enforced only where the hardware can deliver it
-    # (speedup >= 1.0x at 2 threads on >= 2 cores, >= 2.5x at
-    # 8 threads on >= 8 cores). The regression bound vs the committed
-    # BENCH_parallel.json applies regardless of core count.
-    python3 - "$out/parallel.json" BENCH_parallel.json "$(nproc)" <<'EOF'
-import json, sys
-now = json.load(open(sys.argv[1]))
-committed = json.load(open(sys.argv[2]))
-cores = int(sys.argv[3])
-for threads in sorted(now["threads"], key=int):
-    t_now = now["threads"][threads]
-    t_base = committed["threads"].get(threads)
-    if t_base is None:
-        continue
-    print(f"parallel x{threads}: {t_now:.3g} ev/s now vs "
-          f"{t_base:.3g} committed, {now['speedups'][threads]:.2f}x "
-          f"vs serial wheel")
-    assert t_now >= 0.75 * t_base, \
-        f"parallel throughput regressed >25% at {threads} threads: " \
-        f"{t_now:.3g} < 0.75 * {t_base:.3g}"
-for threads, floor in (("2", 1.0), ("8", 2.5)):
-    s = now["speedups"].get(threads)
-    if s is None:
-        continue
-    if cores < int(threads):
-        print(f"parallel gate: {cores} core(s) < {threads}; "
-              f"{floor}x target at {threads} threads not enforced")
-        continue
-    assert s >= floor, \
-        f"parallel backend below {floor}x at {threads} threads: {s:.2f}x"
-    print(f"parallel gate OK: {s:.2f}x >= {floor}x at {threads} threads")
-EOF
 }
 
 run_chaos() {
@@ -315,14 +263,12 @@ run_chaos() {
 
     # The fault machinery must be invisible when disabled: bench output
     # stays byte-identical to the committed goldens on every backend.
-    local flags
-    for flags in "--engine=wheel" "--engine=heap" \
-                 "--engine=parallel --threads=4"; do
-        # shellcheck disable=SC2086
-        build/bench/table_3_1 $flags > "$out/table.txt"
+    local eng
+    for eng in wheel heap; do
+        build/bench/table_3_1 --engine="$eng" > "$out/table.txt"
         diff golden/table_3_1.txt "$out/table.txt"
-        # shellcheck disable=SC2086
-        build/bench/sim_harness --nodes=16 $flags > "$out/harness.txt"
+        build/bench/sim_harness --nodes=16 --engine="$eng" \
+            > "$out/harness.txt"
         diff golden/sim_harness_16.txt "$out/harness.txt"
     done
     echo "fault-free path byte-identical to golden/ on every backend"
@@ -338,7 +284,7 @@ run_recovery() {
 
     # The recovery unit tests carry the fine-grained assertions:
     # dead-node purge, surviving-replica consistency, degraded serving
-    # of lost pages, and the wheel/heap/parallel image identity.
+    # of lost pages, and the wheel/heap image identity.
     build/tests/test_recovery
 
     # Crash the end node of a 1x8 line mid-run on each backend. Every
@@ -346,26 +292,22 @@ run_recovery() {
     # and the combined post-recovery image hash — memory words, elapsed
     # cycles, and epoch outcomes — must be byte-identical across
     # backends.
-    local combo
-    for combo in "wheel:0" "parallel:2"; do
-        local eng="${combo%%:*}" thr="${combo##*:}"
-        local flags="--engine=$eng"
-        if [ "$thr" != 0 ]; then flags="$flags --threads=$thr"; fi
-        echo "--- fail-stop sweep: $eng threads=$thr"
-        # shellcheck disable=SC2086
+    local eng
+    for eng in wheel heap; do
+        echo "--- fail-stop sweep: $eng"
         build/bench/chaos_sweep --nodes=8 --seeds=2 --kill-node=7@2000 \
-            $flags | tee "$out/sweep_$eng.txt"
+            --engine="$eng" | tee "$out/sweep_$eng.txt"
         grep "fail-stop image hash" "$out/sweep_$eng.txt" \
             > "$out/hash_$eng.txt"
     done
-    diff "$out/hash_wheel.txt" "$out/hash_parallel.txt"
+    diff "$out/hash_wheel.txt" "$out/hash_heap.txt"
     echo "post-recovery image byte-identical across backends"
 }
 
 run_tsan() {
-    echo "=== tsan: ThreadSanitizer over the parallel engine ==="
+    echo "=== tsan: ThreadSanitizer over fibers, engine and profiler ==="
     # Probe the toolchain: containers without libtsan should skip, not
-    # fail (the conservative backend is still covered by determinism).
+    # fail.
     local cxx="${CXX:-c++}"
     if ! echo 'int main(){return 0;}' | "$cxx" -fsanitize=thread -x c++ \
             - -o /dev/null >/dev/null 2>&1; then
@@ -373,72 +315,35 @@ run_tsan() {
         return 0
     fi
     cmake -B build-tsan -S . -DPLUS_TSAN=ON >/dev/null
-    cmake --build build-tsan -j "$JOBS" --target test_parallel \
-        sim_harness table_3_1
+    cmake --build build-tsan -j "$JOBS" --target test_fiber test_engine \
+        test_prof sim_harness table_3_1
 
-    echo "--- parallel-engine tests under TSan"
-    build-tsan/tests/test_parallel
+    echo "--- fiber, engine and profiler tests under TSan"
+    build-tsan/tests/test_fiber
+    build-tsan/tests/test_engine
+    build-tsan/tests/test_prof
 
-    echo "--- 2/4-thread determinism matrix under TSan"
+    echo "--- wheel bench runs under TSan"
     local out
     out="$(mktemp -d)"
     trap 'rm -rf "$out"' RETURN
     build-tsan/bench/table_3_1 --engine=wheel > "$out/wheel_table.txt"
+    diff golden/table_3_1.txt "$out/wheel_table.txt"
     build-tsan/bench/sim_harness --nodes=16 --engine=wheel \
         > "$out/wheel_harness.txt"
-    local thr
-    for thr in 2 4; do
-        echo "--- parallel threads=$thr vs wheel (tsan)"
-        build-tsan/bench/table_3_1 --engine=parallel --threads="$thr" \
-            > "$out/table.txt"
-        diff "$out/wheel_table.txt" "$out/table.txt"
-        build-tsan/bench/sim_harness --nodes=16 --engine=parallel \
-            --threads="$thr" > "$out/harness.txt"
-        diff "$out/wheel_harness.txt" "$out/harness.txt"
-    done
-    echo "tsan: zero reports, matrix byte-identical"
+    diff golden/sim_harness_16.txt "$out/wheel_harness.txt"
+    echo "tsan: zero reports, output matches golden/"
 }
 
 run_prof() {
-    echo "=== prof: host-time profiler breakdown + overhead gate ==="
+    echo "=== prof: host-time profiler overhead gate ==="
     cmake -B build -S . >/dev/null
     cmake --build build -j "$JOBS" --target engine_throughput
     local out
     out="$(mktemp -d)"
     trap 'rm -rf "$out"' RETURN
 
-    # A profiled parallel run must attribute the wall clock: every
-    # thread's {work, barrier, drain, other} rollup sums to ~100 with
-    # the named buckets covering >=90%.
-    echo "--- parallel breakdown (4 threads)"
-    build/bench/engine_throughput --quick --threads=4 \
-        --prof-out="$out/prof.json" --out=/dev/null \
-        --parallel-out="$out/parallel.json" >/dev/null
-    python3 - "$out/prof.json" <<'EOF'
-import json, sys
-prof = json.load(open(sys.argv[1]))
-assert prof["enabled"], "profiler not enabled despite --prof-out"
-threads = prof["threads"]
-workers = [t for t in threads if t["label"].startswith("worker")]
-assert len(workers) == 3, \
-    f"expected 3 worker threads in the profile, got {len(workers)}"
-for t in threads:
-    r = t["rollup"]
-    named = r["workPct"] + r["barrierPct"] + r["drainPct"]
-    total = named + r["otherPct"]
-    assert named >= 90.0, \
-        f"{t['label']}: named buckets cover only {named:.1f}% (<90%)"
-    assert 99.0 <= total <= 101.0, \
-        f"{t['label']}: rollup does not sum to 100: {total:.1f}"
-    print(f"{t['label']}: work {r['workPct']:.1f}% / "
-          f"barrier {r['barrierPct']:.1f}% / drain {r['drainPct']:.1f}% / "
-          f"other {r['otherPct']:.1f}%")
-assert prof["windows"]["count"] > 0, "no conservative windows recorded"
-print(f"windows: {prof['windows']['count']} "
-      f"(width mean {prof['windows']['widthMean']:.2f} cycles)")
-EOF
-
-    # Overhead gate: the serial wheel micro benchmark with profiling
+    # Overhead gate: the wheel micro benchmark with profiling
     # enabled must stay within 3% of the disabled run. The bench
     # interleaves the two configurations in-process (best of 5 each) so
     # host noise — frequency scaling, a shared CI box — biases both

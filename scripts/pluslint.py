@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """pluslint — determinism-contract static analyzer for the PLUS simulator.
 
-The repo's most valuable invariant is that every engine backend (wheel,
-heap, parallel at any thread count) produces byte-identical observable
-output. scripts/ci.sh verifies that dynamically; pluslint enforces the
-*sources* of nondeterminism statically, before a bench has to catch them:
+The repo's most valuable invariant is that both engine backends (the
+timing wheel and the heap oracle) produce byte-identical observable
+output, run after run. scripts/ci.sh verifies that dynamically;
+pluslint enforces the *sources* of nondeterminism statically, before a
+bench has to catch them:
 
   R1  unordered-iteration   no iteration over std::unordered_map /
                             std::unordered_set — hash order is not part of
@@ -20,7 +21,7 @@ output. scripts/ci.sh verifies that dynamically; pluslint enforces the
                             to run, so pointer order is nondeterministic.
   R4  mutable-static        no mutable namespace-scope, static, or
                             thread_local state — hidden global state breaks
-                            replay and the parallel backend's isolation.
+                            replay and Machine isolation.
   R5  env-read              no getenv()/setenv() outside src/common/config —
                             environment inputs go through plus::envRead()
                             so configuration stays auditable in one place.
@@ -512,7 +513,7 @@ def lint_mutable_state(src, rel, add):
                      else "namespace-scope")
         add("R4", stmt[0].line,
             f"mutable {decl_kind} state '{name}' — hidden global state "
-            f"breaks replay and parallel-domain isolation; make it "
+            f"breaks replay and Machine isolation; make it "
             f"const/constexpr, move it into the owning object, or "
             f"allow() it with a reason")
 

@@ -2,25 +2,18 @@
 """profshow — render plus::prof host-time profile JSON as tables.
 
 The profiler (src/telemetry/prof.hpp, docs/OBSERVABILITY.md) writes one
-JSON object per run via --prof-out. This script turns it into the two
-tables people actually read:
-
-  - per-thread phase breakdown: exclusive milliseconds, call counts and
-    percent of the run wall per phase (engine.run, proto.handle,
-    par.barrier, ...), plus the {work, barrier-wait, mailbox-drain,
-    other} rollup that answers "where does the parallel backend's time
-    go";
-  - window statistics: how many conservative windows the parallel run
-    committed, their width in simulated cycles, events per window and
-    mailbox volume — the numbers that explain the barrier percentage.
+JSON object per run via --prof-out. This script turns it into the table
+people actually read: the per-thread phase breakdown — exclusive
+milliseconds, call counts and percent of the run wall per phase
+(engine.run, proc.dispatch, proto.handle, net.deliver) — plus the
+{work, other} rollup that says how much of the wall the phases cover.
 
 Usage:
     scripts/profshow.py prof.json [prof2.json ...]
     some_bench --prof-out=/dev/stdout | scripts/profshow.py -
 
 Accepts either a bare prof object or a bench JSON embedding one under a
-"prof" key (sim_harness --out) or per-thread-count rollups under
-"profile" (BENCH_parallel.json).
+"prof" key (sim_harness --out).
 """
 
 import json
@@ -49,8 +42,7 @@ def show_prof(prof, label=""):
     if label:
         print(f"== {label} ==")
     wall_ms = prof.get("runWallNs", 0) / 1e6
-    print(f"run wall: {fmt(wall_ms, 2)} ms"
-          f"   lookahead: {prof.get('lookahead', 0)} cycles")
+    print(f"run wall: {fmt(wall_ms, 2)} ms")
 
     rows = []
     for t in prof.get("threads", []):
@@ -71,60 +63,14 @@ def show_prof(prof, label=""):
                 "(rollup)",
                 "-",
                 "-",
-                "work {} / barrier {} / drain {} / other {}".format(
-                    fmt(r["workPct"], 1), fmt(r["barrierPct"], 1),
-                    fmt(r["drainPct"], 1), fmt(r["otherPct"], 1)),
+                "work {} / other {}".format(
+                    fmt(r["workPct"], 1), fmt(r["otherPct"], 1)),
             ])
     if rows:
         print()
         print(table(rows, ["thread", "phase", "ms", "count", "% wall"]))
 
-    w = prof.get("windows", {})
-    if w.get("count", 0) > 0:
-        print()
-        print(table(
-            [[fmt(w["count"]),
-              f"{fmt(w['widthMean'], 2)} ({w['widthMin']}..{w['widthMax']})",
-              f"{fmt(w['eventsMean'], 2)} ({w['eventsMin']}..{w['eventsMax']})",
-              fmt(w["mailSum"])]],
-            ["windows", "width (cycles)", "events/window", "mail"]))
-    b = prof.get("batches", {})
-    if b.get("count", 0) > 0:
-        print()
-        print(table(
-            [[fmt(b["count"]),
-              fmt(b["windowsPerBatchMean"], 2),
-              fmt(b["eventsPerBatchMean"], 2)]],
-            ["batches", "windows/batch", "events/batch"]))
     print()
-
-
-def show_profile_map(profile):
-    """BENCH_parallel.json style: {"<threads>": {rollup, threads, ...}}."""
-    for count in sorted(profile, key=lambda k: int(k)):
-        p = profile[count]
-        batch = ""
-        if p.get("batches", 0) > 0:
-            batch = (f", {fmt(p['batches'])} batches "
-                     f"({fmt(p['windowsPerBatch'], 1)} windows / "
-                     f"{fmt(p['eventsPerBatch'], 1)} events each)")
-        print(f"== {count} thread(s): {fmt(p['windows'])} windows, "
-              f"width mean {fmt(p['widthMean'], 2)} cycles, "
-              f"{fmt(p['eventsMean'], 2)} events/window, "
-              f"mail {fmt(p['mailSum'])}{batch} ==")
-        rows = []
-        agg = p.get("rollup")
-        if agg:
-            rows.append(["(all)", fmt(agg["workPct"], 1),
-                         fmt(agg["barrierPct"], 1), fmt(agg["drainPct"], 1),
-                         fmt(agg["otherPct"], 1)])
-        for label, r in p.get("threads", {}).items():
-            rows.append([label, fmt(r["workPct"], 1),
-                         fmt(r["barrierPct"], 1), fmt(r["drainPct"], 1),
-                         fmt(r["otherPct"], 1)])
-        print(table(rows, ["thread", "work %", "barrier %", "drain %",
-                           "other %"]))
-        print()
 
 
 def show_file(path):
@@ -137,11 +83,9 @@ def show_file(path):
         show_prof(doc, label=path if path != "-" else "")
     elif "prof" in doc:
         show_prof(doc["prof"], label=doc.get("bench", path))
-    elif "profile" in doc:
-        show_profile_map(doc["profile"])
     else:
-        sys.exit(f"{path}: no prof data (want a --prof-out file, a bench "
-                 "JSON with a \"prof\" key, or one with \"profile\")")
+        sys.exit(f"{path}: no prof data (want a --prof-out file or a "
+                 "bench JSON with a \"prof\" key)")
 
 
 def main(argv):

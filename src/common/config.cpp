@@ -32,7 +32,6 @@ toString(SimEngine engine)
       case SimEngine::Env: return "env";
       case SimEngine::Wheel: return "wheel";
       case SimEngine::Heap: return "heap";
-      case SimEngine::Parallel: return "parallel";
       default: return "?";
     }
 }
@@ -90,52 +89,6 @@ MachineConfig::validate()
     }
     if (threadStackBytes < 16 * 1024) {
         PLUS_FATAL("thread stacks of less than 16 KiB are unsafe");
-    }
-
-    if (simThreads > nodes) {
-        PLUS_FATAL("simThreads (", simThreads, ") exceeds the node count (",
-                   nodes, "); the parallel backend runs at most one "
-                   "worker per node — lower simThreads or leave it 0 "
-                   "to size automatically");
-    }
-    // Domain-count knob for the parallel backend. 62 = the EventId
-    // domain-tag space (6 bits) minus the machine lane's reserved tag.
-    if (simDomains > nodes) {
-        PLUS_FATAL("simDomains (", simDomains, ") exceeds the node count (",
-                   nodes, "); every domain needs at least one node — "
-                   "lower simDomains or leave it 0 to size automatically");
-    }
-    if (simDomains > 62) {
-        PLUS_FATAL("simDomains (", simDomains, ") exceeds the 62-domain "
-                   "EventId tag space; lower it (62 domains already "
-                   "saturate load balancing at any thread count)");
-    }
-    if (simDomains != 0 && simThreads != 0 &&
-        simDomains % simThreads != 0) {
-        PLUS_FATAL("simDomains (", simDomains, ") is not a multiple of "
-                   "simThreads (", simThreads, "); threads own domains "
-                   "round-robin, so a non-multiple leaves some threads "
-                   "permanently underloaded — use ", simThreads * (simDomains / simThreads),
-                   " or ", simThreads * (simDomains / simThreads + 1),
-                   ", or leave simDomains 0 to size automatically");
-    }
-    if (engine == SimEngine::Parallel && simThreads > 1) {
-        // The conservative bound needs a positive lookahead floor: the
-        // smallest delay any cross-node schedule can carry. Zero here
-        // would make every domain-pair lookahead-matrix entry 0 and no
-        // parallel window could ever open.
-        const Cycles min_latency =
-            network.ideal
-                ? network.fixedCycles + network.perHopCycles
-                : network.perHopCycles;
-        if (min_latency == 0) {
-            PLUS_FATAL("the parallel engine needs a positive cross-node "
-                       "latency: every lookahead-matrix entry would be 0 "
-                       "and no conservative window could open; set "
-                       "perHopCycles >= 1",
-                       network.ideal ? " (or fixedCycles >= 1)" : "",
-                       " or use a serial backend");
-        }
     }
 
     const FaultConfig& fault = network.fault;

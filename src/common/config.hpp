@@ -184,8 +184,6 @@ enum class SimEngine : std::uint8_t {
     Wheel,
     /** Serial priority-queue oracle. */
     Heap,
-    /** Conservative-parallel backend: one timing wheel per domain. */
-    Parallel,
 };
 
 const char* toString(SimEngine engine);
@@ -426,24 +424,6 @@ struct MachineConfig {
      * the protocol field existed cannot silently change meaning.
      */
     bool protocolOptIn = false;
-
-    /**
-     * Worker threads for the parallel backend: each owns a contiguous
-     * spatial domain of nodes. 0 = pick automatically (one per
-     * hardware core, at most one per node). Must not exceed the node
-     * count; ignored by the serial backends.
-     */
-    unsigned simThreads = 0;
-
-    /**
-     * Spatial domains for the parallel backend. Each domain is a
-     * contiguous node range with its own event wheel; threads own
-     * domains round-robin, so more domains than threads improves load
-     * balance on skewed meshes. 0 = pick automatically (up to 4 per
-     * thread). Must be a multiple of the resolved thread count and at
-     * most min(nodes, 62); ignored by the serial backends.
-     */
-    unsigned simDomains = 0;
 
     NetworkConfig network;
     CostModel cost;

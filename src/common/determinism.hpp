@@ -2,10 +2,11 @@
  * @file
  * The determinism contract, as code.
  *
- * Every engine backend (wheel, heap, parallel at any thread count) must
+ * Both engine backends (the timing wheel and the heap oracle) must
  * produce byte-identical observable output — events, packets, telemetry,
- * checker traces, bench text. `scripts/pluslint.py` enforces the contract
- * statically (rules R1–R5, see docs/STATIC_ANALYSIS.md); this header
+ * checker traces, bench text — and so must two runs of one backend.
+ * `scripts/pluslint.py` enforces the contract statically (rules R1–R5,
+ * see docs/STATIC_ANALYSIS.md); this header
  * provides the two annotation macros the linter keys on and the
  * `sortedView()` adapter that turns an unordered container into a
  * deterministically ordered range.

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <sstream>
-#include <thread>
 
-#include "check/defer_observer.hpp"
 #include "common/log.hpp"
 #include "common/panic.hpp"
 #include "core/context.hpp"
@@ -27,24 +25,9 @@ resolveImpl(const MachineConfig& config)
     switch (config.engine) {
       case SimEngine::Wheel: return sim::EngineImpl::Wheel;
       case SimEngine::Heap: return sim::EngineImpl::Heap;
-      case SimEngine::Parallel: return sim::EngineImpl::Parallel;
       case SimEngine::Env:
       default: return sim::implFromEnv();
     }
-}
-
-/** simThreads, or the auto policy: one per core, at most one per node. */
-unsigned
-resolveThreads(const MachineConfig& config)
-{
-    if (config.simThreads != 0) {
-        return config.simThreads;
-    }
-    unsigned hw = std::thread::hardware_concurrency();
-    if (hw == 0) {
-        hw = 2;
-    }
-    return std::min(hw, config.nodes);
 }
 
 } // namespace
@@ -133,7 +116,7 @@ struct Machine::RecoveryHost final : proto::RecoveryManager::Host {
 
     void toMachine(std::function<void()> fn) override
     {
-        m.engine_.scheduleMachine(m.engine_.lookahead(), std::move(fn));
+        m.engine_.scheduleMachine(m.nodeOpDelay_, std::move(fn));
     }
 
     Machine& m;
@@ -175,29 +158,11 @@ Machine::Machine(MachineConfig config)
       topology_(1, 1, 1) // replaced below once the config is validated
 {
     config_.validate();
-    const unsigned threads = resolveThreads(config_);
-    if (config_.simDomains != 0 && threads > 1 &&
-        config_.simDomains % threads != 0) {
-        // validate() can only check this when simThreads is explicit;
-        // with the auto thread policy the count is known only here.
-        PLUS_FATAL("simDomains (", config_.simDomains,
-                   ") must be a multiple of the resolved thread count (",
-                   threads, " from the auto policy); set simDomains to ",
-                   (config_.simDomains / threads) * threads, " or ",
-                   ((config_.simDomains / threads) + 1) * threads,
-                   ", or pin simThreads explicitly");
-    }
-    engine_.configure(config_.nodes, threads, config_.simDomains);
+    engine_.configure(config_.nodes);
     topology_ = net::Topology(config_.nodes, config_.meshWidth(),
                               config_.meshHeight());
     network_ = net::makeNetwork(engine_, topology_, config_.network);
-    // The window bound of the parallel backend, and the deferral the
-    // machine applies to node-triggered directory operations so every
-    // backend executes them at the same cycle.
-    engine_.setLookahead(network_->minCrossNodeLatency());
-    if (engine_.parallelActive()) {
-        installLookaheadMatrix();
-    }
+    nodeOpDelay_ = network_->minCrossNodeLatency();
     if (config_.network.fault.enabled) {
         // Script arming is deferred to the first run(): setup work
         // (allocation, replication, settle) would otherwise consume
@@ -230,13 +195,7 @@ Machine::Machine(MachineConfig config)
     if (config_.telemetry.trace) {
         telemetry_ = std::make_unique<telemetry::Telemetry>(
             config_.telemetry, &engine_);
-        if (engine_.parallelActive()) {
-            deferNetObserver_ = std::make_unique<check::DeferringNetObserver>(
-                engine_, telemetry_.get());
-            network_->setTelemetryObserver(deferNetObserver_.get());
-        } else {
-            network_->setTelemetryObserver(telemetry_.get());
-        }
+        network_->setTelemetryObserver(telemetry_.get());
     }
 
     // Checker and tracer share the per-subsystem observer slots; when
@@ -252,13 +211,6 @@ Machine::Machine(MachineConfig config)
     } else if (telemetry_) {
         observer = telemetry_.get();
     }
-    if (observer != nullptr && engine_.parallelActive()) {
-        // Worker lanes must not touch the order-sensitive checker and
-        // tracer directly; buffer their hooks for key-order replay.
-        deferObserver_ = std::make_unique<check::DeferringObserver>(
-            engine_, observer);
-        observer = deferObserver_.get();
-    }
 
     nodes_.reserve(config_.nodes);
     for (NodeId id = 0; id < config_.nodes; ++id) {
@@ -271,9 +223,8 @@ Machine::Machine(MachineConfig config)
         });
         n.cm().setPageCopyDoneHandler([this](std::uint32_t copy_id) {
             // Completion mutates the directory and every node's tables:
-            // machine-lane work, deferred by the lookahead so it runs
-            // stop-the-world at the same cycle on every backend.
-            engine_.scheduleMachine(engine_.lookahead(), [this, copy_id] {
+            // machine-lane work, deferred by the node-op delay.
+            engine_.scheduleMachine(nodeOpDelay_, [this, copy_id] {
                 onPageCopyDone(copy_id);
             });
         });
@@ -357,52 +308,9 @@ Machine::Machine(MachineConfig config)
     }
 
     registerMetrics();
-    updateMachineMailHint();
 }
 
 Machine::~Machine() = default;
-
-void
-Machine::installLookaheadMatrix()
-{
-    const unsigned dcount = engine_.domains();
-    const std::size_t cells =
-        static_cast<std::size_t>(dcount) * dcount;
-    // Minimum hop distance between each pair of domain node ranges.
-    // O(nodes^2), ctor-only; machines are at most a few thousand nodes.
-    std::vector<unsigned> min_hops(cells, ~0U);
-    for (NodeId a = 0; a < config_.nodes; ++a) {
-        const unsigned da = engine_.domainOfLane(a);
-        for (NodeId b = 0; b < config_.nodes; ++b) {
-            const unsigned db = engine_.domainOfLane(b);
-            if (da == db) {
-                continue;
-            }
-            unsigned& cell = min_hops[da * dcount + db];
-            cell = std::min(cell, topology_.distance(a, b));
-        }
-    }
-    std::vector<Cycles> matrix(cells, 0);
-    for (unsigned i = 0; i < dcount; ++i) {
-        for (unsigned j = 0; j < dcount; ++j) {
-            if (i != j) {
-                matrix[i * dcount + j] =
-                    network_->crossNodeFloor(min_hops[i * dcount + j]);
-            }
-        }
-    }
-    engine_.setLookaheadMatrix(std::move(matrix));
-}
-
-void
-Machine::updateMachineMailHint()
-{
-    // With recovery armed, any node lane can post a peer-death recovery
-    // event at any time, so the hint must stay on for the whole run.
-    engine_.setNodeMachineMailHint(pendingCopies_ != 0 ||
-                                   replThreshold_ != 0 ||
-                                   recovery_ != nullptr);
-}
 
 std::string
 Machine::diagnosticDump()
@@ -410,7 +318,7 @@ Machine::diagnosticDump()
     std::ostringstream os;
     os << "\n--- machine diagnostics ---"
        << "\ncycle " << engine_.now() << ", " << engine_.pendingEvents()
-       << " event(s) pending, " << unfinishedThreads_.load()
+       << " event(s) pending, " << unfinishedThreads_
        << " thread(s) unfinished";
     const net::NetworkStats& net = network_->stats();
     os << "\nnet: " << net.packets << " delivered, " << net.dropped
@@ -799,8 +707,8 @@ Machine::haltNode(NodeId node)
     }
     // The written-off threads will never hit their completion handler;
     // settle the liveness accounting (and the watchdog) for them here.
-    if (unfinishedThreads_.fetch_sub(written_off) == written_off &&
-        watchdog_) {
+    unfinishedThreads_ -= written_off;
+    if (unfinishedThreads_ == 0 && watchdog_) {
         watchdog_->stop();
     }
 }
@@ -907,7 +815,6 @@ Machine::replicate(Addr addr, NodeId target)
     copiesInFlight_.emplace(copy_id, PendingCopy{vpn, target,
                                                  kInvalidNode});
     ++pendingCopies_;
-    updateMachineMailHint();
     // The copy engine's events belong to the anchor node's lane.
     engine_.withNodeContext(anchor.node, [&] {
         nodes_[anchor.node]->cm().startPageCopy(anchor.frame, new_copy,
@@ -935,7 +842,6 @@ Machine::onPageCopyDone(std::uint32_t copy_id)
     const PendingCopy rec = it->second;
     copiesInFlight_.erase(it);
     --pendingCopies_;
-    updateMachineMailHint();
 
     // The new copy is fully written: nodes may now switch their address
     // translation to it. Lazy page tables make this a shootdown; each
@@ -1186,8 +1092,7 @@ Machine::spawn(NodeId node, ThreadBody body)
             body(*ctx);
             if (--unfinishedThreads_ == 0 && watchdog_) {
                 // Last thread done: stop watching so the watchdog's own
-                // check event cannot outlive the workload. Flag-based —
-                // this runs on a worker lane under the parallel backend.
+                // check event cannot outlive the workload.
                 watchdog_->stop();
             }
         });
@@ -1218,11 +1123,11 @@ Machine::run(Cycles max_cycles)
     if (unfinishedThreads_ > 0) {
         if (engine_.pendingEvents() > 0) {
             PLUS_FATAL("machine exceeded the cycle cap (", max_cycles,
-                       ") with ", unfinishedThreads_.load(),
+                       ") with ", unfinishedThreads_,
                        " thread(s) unfinished — livelock?");
         }
         PLUS_FATAL("deadlock: no events pending but ",
-                   unfinishedThreads_.load(),
+                   unfinishedThreads_,
                    " thread(s) are still blocked");
     }
 }
@@ -1286,8 +1191,8 @@ Machine::enableCompetitiveReplication(std::uint64_t threshold,
             // already replicated here, at its copy budget, or mid-copy.
             // The decision fires on a node lane; the replication itself
             // is a machine-lane directory mutation, so it is deferred by
-            // the lookahead and the guards re-evaluate when it runs.
-            engine_.scheduleMachine(engine_.lookahead(), [this, id, vpn] {
+            // the node-op delay and the guards re-evaluate when it runs.
+            engine_.scheduleMachine(nodeOpDelay_, [this, id, vpn] {
                 if (!directory_.contains(vpn)) {
                     return;
                 }
@@ -1305,7 +1210,6 @@ Machine::enableCompetitiveReplication(std::uint64_t threshold,
             });
         });
     }
-    updateMachineMailHint();
 }
 
 } // namespace core

@@ -21,7 +21,6 @@
 #ifndef PLUS_CORE_MACHINE_HPP_
 #define PLUS_CORE_MACHINE_HPP_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -42,11 +41,6 @@
 #include "telemetry/tracer.hpp"
 
 namespace plus {
-
-namespace check {
-class DeferringObserver;
-class DeferringNetObserver;
-} // namespace check
 
 namespace proto {
 class RecoveryManager;
@@ -290,24 +284,6 @@ class Machine
      */
     std::string diagnosticDump();
 
-    /**
-     * Compute and install the parallel backend's domain-pair lookahead
-     * matrix: Network::crossNodeFloor() of the minimum mesh hop
-     * distance between each pair of domain node ranges. Ctor-only,
-     * after the network exists and only when the backend is parallel.
-     */
-    void installLookaheadMatrix();
-
-    /**
-     * Arm or disarm the engine's node->machine mail hint. The only
-     * node-context producers of machine-lane events are page-copy
-     * completions and competitive-replication overflow triggers, so
-     * while no page copy is in flight and competitive replication is
-     * unarmed the parallel backend may run whole batches without
-     * checking for machine mail.
-     */
-    void updateMachineMailHint();
-
     void onPageCopyDone(std::uint32_t copy_id);
     void shootdown(Vpn vpn);
     PhysAddr masterOf(Addr addr) const;
@@ -325,6 +301,14 @@ class Machine
     std::unique_ptr<net::Network> network_;
     std::vector<std::unique_ptr<node::Node>> nodes_;
 
+    /**
+     * Delay of the machine-lane directory operations that node lanes
+     * trigger (page-copy completion, competitive replication, recovery
+     * hand-offs): the network's minimum cross-node latency. Part of the
+     * calibrated timing the goldens fix; set once in the constructor.
+     */
+    Cycles nodeOpDelay_ = 0;
+
     mem::PageDirectory directory_;
     Vpn nextVpn_ = 1; ///< vpn 0 is reserved (null page)
 
@@ -339,15 +323,6 @@ class Machine
 
     /** Fan-out installed when both checker and tracer are live. */
     std::unique_ptr<check::TeeObserver> observerTee_;
-
-    /**
-     * Parallel backend only: wrappers that buffer observer hooks via
-     * sim::Engine::defer() so the checker and tracer see events in the
-     * exact serial order (see check/defer_observer.hpp). Null on the
-     * serial backends — hooks run inline with zero extra cost.
-     */
-    std::unique_ptr<check::DeferringObserver> deferObserver_;
-    std::unique_ptr<check::DeferringNetObserver> deferNetObserver_;
 
     telemetry::MetricsRegistry metrics_;
 
@@ -383,8 +358,7 @@ class Machine
         std::unique_ptr<Context> context;
     };
     std::vector<ThreadRecord> threads_;
-    /** Atomic: decremented from worker lanes under the parallel backend. */
-    std::atomic<unsigned> unfinishedThreads_{0};
+    unsigned unfinishedThreads_ = 0;
     bool started_ = false;
 
     /** Competitive replication policy state. */

@@ -1,5 +1,7 @@
 #include "net/fault_injector.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 #include "common/panic.hpp"
 #include "net/network.hpp"
@@ -11,7 +13,6 @@ namespace net {
 FaultInjector::FaultInjector(sim::Engine& engine, const Topology& topology,
                              const FaultConfig& config)
     : engine_(engine), config_(config),
-      statShards_(topology.nodes() + 1),
       deadNodes_(topology.nodes(), 0),
       crashedNodes_(topology.nodes(), 0)
 {
@@ -25,40 +26,28 @@ FaultInjector::FaultInjector(sim::Engine& engine, const Topology& topology,
     }
 }
 
-std::size_t
-FaultInjector::shardIx() const
+Xoshiro256&
+FaultInjector::laneRng()
 {
-    const std::size_t ix = engine_.shardIndex();
-    return ix < statShards_.size() ? ix : statShards_.size() - 1;
-}
-
-FaultStats
-FaultInjector::stats() const
-{
-    FaultStats total;
-    for (const StatShard& s : statShards_) {
-        total.dropped += s.dropped;
-        total.corrupted += s.corrupted;
-        total.duplicated += s.duplicated;
-        total.delayed += s.delayed;
-        total.linkKills += s.linkKills;
-        total.nodeKills += s.nodeKills;
-        total.nodeCrashes += s.nodeCrashes;
-    }
-    return total;
+    // Machine context maps to the last stream; an engine without node
+    // lanes (unit tests driving the network directly) reports nodes()
+    // == 0 and uses the first.
+    const std::uint16_t lane = engine_.currentLane();
+    const std::size_t ix =
+        lane == sim::kMachineLane ? engine_.nodes() : lane;
+    return rngs_[std::min(ix, rngs_.size() - 1)];
 }
 
 Fate
 FaultInjector::fateFor(const Packet& packet)
 {
-    FaultStats& s = shard();
     if (override_) {
         if (std::optional<Fate> forced = override_(packet)) {
             switch (*forced) {
-              case Fate::Drop: s.dropped += 1; break;
-              case Fate::Corrupt: s.corrupted += 1; break;
-              case Fate::Duplicate: s.duplicated += 1; break;
-              case Fate::Delay: s.delayed += 1; break;
+              case Fate::Drop: stats_.dropped += 1; break;
+              case Fate::Corrupt: stats_.corrupted += 1; break;
+              case Fate::Duplicate: stats_.duplicated += 1; break;
+              case Fate::Delay: stats_.delayed += 1; break;
               default: break;
             }
             return *forced;
@@ -66,25 +55,25 @@ FaultInjector::fateFor(const Packet& packet)
     }
     // One roll, banded across the four fault probabilities, so a fate
     // schedule depends only on the frame sequence, not the rate split.
-    const double roll = rngs_[shardIx()].uniform();
+    const double roll = laneRng().uniform();
     double band = config_.dropRate;
     if (roll < band) {
-        s.dropped += 1;
+        stats_.dropped += 1;
         return Fate::Drop;
     }
     band += config_.corruptRate;
     if (roll < band) {
-        s.corrupted += 1;
+        stats_.corrupted += 1;
         return Fate::Corrupt;
     }
     band += config_.duplicateRate;
     if (roll < band) {
-        s.duplicated += 1;
+        stats_.duplicated += 1;
         return Fate::Duplicate;
     }
     band += config_.delayRate;
     if (roll < band) {
-        s.delayed += 1;
+        stats_.delayed += 1;
         return Fate::Delay;
     }
     return Fate::Deliver;
@@ -93,7 +82,7 @@ FaultInjector::fateFor(const Packet& packet)
 Cycles
 FaultInjector::delayFor()
 {
-    return rngs_[shardIx()].range(1, config_.maxDelayCycles);
+    return laneRng().range(1, config_.maxDelayCycles);
 }
 
 void
@@ -117,14 +106,14 @@ FaultInjector::apply(const FaultScriptEntry& entry)
 {
     switch (entry.kind) {
       case FaultScriptEntry::Kind::LinkDown:
-        shard().linkKills += 1;
+        stats_.linkKills += 1;
         setLinkAlive(entry.a, entry.b, false);
         break;
       case FaultScriptEntry::Kind::LinkUp:
         setLinkAlive(entry.a, entry.b, true);
         break;
       case FaultScriptEntry::Kind::NodeDown:
-        shard().nodeKills += 1;
+        stats_.nodeKills += 1;
         setNodeAlive(entry.a, false);
         break;
       case FaultScriptEntry::Kind::NodeUp:
@@ -147,7 +136,7 @@ FaultInjector::crashNode(NodeId node)
     }
     crashedNodes_[node] = 1;
     crashedCount_ += 1;
-    shard().nodeCrashes += 1;
+    stats_.nodeCrashes += 1;
     deadNodes_[node] = 1;
     PLUS_LOG(LogComponent::Net, "fault: node ", node,
              " crashed (fail-stop) at cycle ", engine_.now());

@@ -50,11 +50,7 @@ enum class Fate : std::uint8_t {
     Delay,     ///< held back a uniform [1, maxDelayCycles] extra cycles
 };
 
-/**
- * Injected-fault counters (exported as net.fault.* metrics). Sharded by
- * executing lane internally (fates are rolled on whichever node's lane
- * transmits the frame) and summed by FaultInjector::stats().
- */
+/** Injected-fault counters (exported as net.fault.* metrics). */
 struct FaultStats {
     std::uint64_t dropped = 0;
     std::uint64_t corrupted = 0;
@@ -137,8 +133,8 @@ class FaultInjector
         override_ = std::move(fn);
     }
 
-    /** Aggregate counters: the sum over all lane shards. */
-    FaultStats stats() const;
+    /** Aggregate counters. */
+    FaultStats stats() const { return stats_; }
 
     const FaultConfig& config() const { return config_; }
 
@@ -155,30 +151,21 @@ class FaultInjector
 
     void apply(const FaultScriptEntry& entry);
 
-    /** Counter shards, padded against false sharing between lanes. */
-    struct alignas(64) StatShard : FaultStats {
-    };
-
-    /** The executing lane's shard index (last shard = machine). */
-    std::size_t shardIx() const;
-    FaultStats& shard() { return statShards_[shardIx()]; }
+    /** The executing lane's RNG stream (see rngs_). */
+    Xoshiro256& laneRng();
 
     sim::Engine& engine_;
     FaultConfig config_;
     /**
-     * One independent xoshiro256** stream per lane, seeded from
-     * FaultConfig::seed and the lane index. A frame's fate is rolled on
-     * the lane that transmits it, and each lane's frames keep their
-     * serial order in every backend, so a fault schedule replays
-     * exactly — serial wheel, heap, or parallel.
+     * One independent xoshiro256** stream per lane (node lanes, then
+     * machine context last), seeded from FaultConfig::seed and the
+     * lane index. A frame's fate is rolled on the lane that transmits
+     * it, so each stream's draws depend only on its own lane's frames
+     * and a fault schedule replays exactly under both backends.
      */
     std::vector<Xoshiro256> rngs_;
-    std::vector<StatShard> statShards_;
-    /**
-     * Liveness is written from machine context only (scripted entries
-     * and test hooks run stop-the-world under the parallel backend) and
-     * read at every hop; the window barrier orders the two.
-     */
+    FaultStats stats_;
+    /** Router liveness: written from machine context, read every hop. */
     std::vector<char> deadNodes_;
     /** Permanently failed nodes: written under crashNode only, never
      *  cleared — a crashed node cannot be revived. */

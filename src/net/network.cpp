@@ -15,34 +15,11 @@ namespace net {
 Network::Network(sim::Engine& engine, const Topology& topology,
                  const NetworkConfig& config)
     : engine_(engine), topology_(topology), config_(config),
-      statShards_(topology.nodes() + 1), handlers_(topology.nodes())
+      handlers_(topology.nodes())
 {
 }
 
 Network::~Network() = default;
-
-std::size_t
-Network::shardIx() const
-{
-    // An unconfigured engine (unit tests driving a Network directly)
-    // reports machine context with nodes() == 0; clamp into our shards.
-    const std::size_t ix = engine_.shardIndex();
-    return ix < statShards_.size() ? ix : statShards_.size() - 1;
-}
-
-NetworkStats
-Network::stats() const
-{
-    NetworkStats total;
-    for (const StatShard& s : statShards_) {
-        total.packets += s.packets;
-        total.payloadBytes += s.payloadBytes;
-        total.totalHops += s.totalHops;
-        total.dropped += s.dropped;
-        total.backpressureStalls += s.backpressureStalls;
-    }
-    return total;
-}
 
 void
 Network::setDeliveryHandler(NodeId node, DeliveryHandler handler)
@@ -106,18 +83,12 @@ Network::deliverUp(Packet packet, unsigned hops, Cycles injected_at,
                    Cycles queueing)
 {
     const prof::ScopedPhase prof_scope(prof::Phase::NetDeliver);
-    NetworkStats& s = shard();
-    s.packets += 1;
-    s.payloadBytes += packet.payloadBytes;
-    s.totalHops += hops;
-    // The histograms' running sums are order-sensitive (floating-point
-    // accumulation); defer keeps the record stream in global key order
-    // under the parallel backend and is an inline call otherwise.
+    stats_.packets += 1;
+    stats_.payloadBytes += packet.payloadBytes;
+    stats_.totalHops += hops;
     const Cycles latency = engine_.now() - injected_at;
-    engine_.defer([this, latency, queueing] {
-        latency_.record(static_cast<double>(latency));
-        queueing_.record(static_cast<double>(queueing));
-    });
+    latency_.record(static_cast<double>(latency));
+    queueing_.record(static_cast<double>(queueing));
     if (telemetry_) {
         telemetry_->onPacketDelivered(packet.src, packet.dst,
                                       packet.msgClass, packet.payloadBytes,
@@ -134,7 +105,7 @@ void
 Network::noteDrop(NodeId src, NodeId dst, std::uint8_t msg_class,
                   unsigned bytes, check::DropReason reason)
 {
-    shard().dropped += 1;
+    stats_.dropped += 1;
     PLUS_LOG(LogComponent::Net, "drop ", src, " -> ", dst, " (",
              check::toString(reason), ")");
     if (telemetry_) {
@@ -152,9 +123,7 @@ IdealNetwork::inject(Packet packet)
     // sim::Event takes move-only captures, so the packet rides inline
     // in the event record — no allocation per send. hops is recomputed
     // at delivery to keep the capture within the inline budget.
-    // Delivery executes on the destination's lane; latency >=
-    // zeroLoadLatency(1) == minCrossNodeLatency() keeps the schedule
-    // legal under the parallel backend's lookahead.
+    // Delivery executes on the destination's lane.
     engine_.scheduleForNode(dst, latency, [this, p = std::move(packet),
                                            injected_at]() mutable {
         const unsigned hops = topology_.distance(p.src, p.dst);
@@ -164,12 +133,10 @@ IdealNetwork::inject(Packet packet)
 
 MeshNetwork::MeshNetwork(sim::Engine& engine, const Topology& topology,
                          const NetworkConfig& config)
-    : Network(engine, topology, config),
-      transitShards_(topology.nodes() + 1)
+    : Network(engine, topology, config)
 {
     // Populate every directed adjacent link up front: the map is never
-    // mutated again, so concurrent hop-time lookups are const finds and
-    // each Link is written only from its source router's lane.
+    // mutated again, so a hop-time lookup is a plain find.
     for (NodeId from = 0; from < topology.nodes(); ++from) {
         for (NodeId to = 0; to < topology.nodes(); ++to) {
             if (from != to && topology.distance(from, to) == 1) {
@@ -195,13 +162,12 @@ MeshNetwork::linkBetween(NodeId from, NodeId to)
 MeshNetwork::Transit*
 MeshNetwork::acquireTransit()
 {
-    TransitShard& shard = transitShards_[shardIx()];
-    if (shard.free.empty()) {
-        shard.pool.push_back(std::make_unique<Transit>());
-        return shard.pool.back().get();
+    if (freeTransits_.empty()) {
+        transits_.push_back(std::make_unique<Transit>());
+        return transits_.back().get();
     }
-    Transit* transit = shard.free.back();
-    shard.free.pop_back();
+    Transit* transit = freeTransits_.back();
+    freeTransits_.pop_back();
     return transit;
 }
 
@@ -209,7 +175,7 @@ void
 MeshNetwork::releaseTransit(Transit* transit)
 {
     transit->packet = Packet{};
-    transitShards_[shardIx()].free.push_back(transit);
+    freeTransits_.push_back(transit);
 }
 
 void
@@ -273,7 +239,7 @@ MeshNetwork::hop(Transit* transit)
     if (config_.routerBufferPackets != 0 && link.freeAt > now &&
         link.freeAt - now >
             config_.routerBufferPackets * serialization) {
-        shard().backpressureStalls += 1;
+        stats_.backpressureStalls += 1;
         transit->queueing += serialization;
         engine_.schedule(serialization, [this, transit] { hop(transit); });
         return;
@@ -295,8 +261,7 @@ MeshNetwork::hop(Transit* transit)
     transit->at = next;
     // Cut-through: the head moves on after the router latency; the tail
     // occupies the link for the serialization time behind it. The next
-    // hop executes on @p next's lane; wait + perHopCycles >=
-    // minCrossNodeLatency() keeps the schedule inside the lookahead.
+    // hop executes on @p next's lane.
     engine_.scheduleForNode(next, wait + config_.perHopCycles,
                             [this, transit] { hop(transit); });
 }

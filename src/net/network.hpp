@@ -96,13 +96,8 @@ enum LinkCtl : std::uint8_t {
 constexpr std::uint8_t kLinkAckClass = 0xfe;
 
 /**
- * Aggregate network statistics. Counters only: internally they are
- * lane-sharded (delivery executes on the destination node's lane, which
- * under the parallel backend is a worker thread), and stats() sums the
- * shards — exact in every backend, no atomics. The latency/queueing
- * distributions live on Network as order-sensitive histograms, updated
- * through Engine::defer() so their record streams stay byte-identical
- * to serial execution; read them via latencyHistogram()/
+ * Aggregate network counters. The latency/queueing distributions live
+ * on Network as histograms; read them via latencyHistogram()/
  * queueingHistogram().
  */
 struct NetworkStats {
@@ -182,8 +177,8 @@ class Network
 
     const Topology& topology() const { return topology_; }
 
-    /** Aggregate counters: the sum over all lane shards. */
-    NetworkStats stats() const;
+    /** Aggregate counters. */
+    NetworkStats stats() const { return stats_; }
 
     /** End-to-end latency per delivered packet, cycles. */
     const Histogram& latencyHistogram() const { return latency_; }
@@ -200,23 +195,10 @@ class Network
 
     /**
      * The smallest delay with which this model ever schedules an event
-     * onto a *different* node's lane — the parallel backend's
-     * conservative lookahead. Every internal cross-node schedule
-     * (scheduleForNode) must keep its delay >= this bound.
+     * onto a *different* node's lane. core::Machine delays the
+     * directory operations node lanes trigger by this much.
      */
     virtual Cycles minCrossNodeLatency() const = 0;
-
-    /**
-     * The smallest accumulated delay any chain of events can take to
-     * carry work across @p hops mesh hops — the per-distance lookahead
-     * floor the parallel backend builds its domain-pair matrix from at
-     * partition time. Monotone and subadditive in @p hops (floor(a) +
-     * floor(b) >= floor(a + b)), so the per-hop schedules of a routed
-     * path never undercut the end-to-end floor; fault-injected delays
-     * only add. Must be >= 1 for hops >= 1 (MachineConfig::validate()
-     * rejects configurations that would yield zero entries).
-     */
-    virtual Cycles crossNodeFloor(unsigned hops) const = 0;
 
     /** Cycles a packet of the given payload occupies one link. */
     Cycles serializationCycles(unsigned payload_bytes) const;
@@ -243,21 +225,10 @@ class Network
     void noteDrop(NodeId src, NodeId dst, std::uint8_t msg_class,
                   unsigned bytes, check::DropReason reason);
 
-    /** The executing lane's shard index (last shard = machine). */
-    std::size_t shardIx() const;
-
-    /** The executing lane's counter shard. */
-    NetworkStats& shard() { return statShards_[shardIx()]; }
-
-    /** One shard per node lane plus one for machine context, padded so
-     *  two workers never bounce a cache line. */
-    struct alignas(64) StatShard : NetworkStats {
-    };
-
     sim::Engine& engine_;
     Topology topology_;
     NetworkConfig config_;
-    std::vector<StatShard> statShards_;
+    NetworkStats stats_;
     Histogram latency_;
     Histogram queueing_;
     std::vector<DeliveryHandler> handlers_;
@@ -277,12 +248,6 @@ class IdealNetwork : public Network
     Cycles minCrossNodeLatency() const override
     {
         return zeroLoadLatency(1);
-    }
-
-    /** Packets are delivered end-to-end in one schedule at zero load. */
-    Cycles crossNodeFloor(unsigned hops) const override
-    {
-        return zeroLoadLatency(hops);
     }
 
   protected:
@@ -308,12 +273,6 @@ class MeshNetwork : public Network
         return config_.perHopCycles;
     }
 
-    /** Each of the @p hops forwarding events costs >= perHopCycles. */
-    Cycles crossNodeFloor(unsigned hops) const override
-    {
-        return config_.perHopCycles * hops;
-    }
-
   protected:
     void inject(Packet packet) override;
 
@@ -333,34 +292,21 @@ class MeshNetwork : public Network
         NodeId at = kInvalidNode;
     };
 
-    /** Transit recycling, sharded by lane like the stat counters. */
-    struct alignas(64) TransitShard {
-        /** Owning pool; recycled through free. */
-        std::vector<std::unique_ptr<Transit>> pool;
-        std::vector<Transit*> free;
-    };
-
     Link& linkBetween(NodeId from, NodeId to);
     void hop(Transit* transit);
 
     /**
      * Grab a pooled transit so every in-flight packet costs one pool
-     * hit instead of a shared_ptr allocation per send. A transit is
-     * released into the *releasing* lane's shard (delivery happens on
-     * the destination's lane), so the pools drift with traffic but
-     * stay thread-private.
+     * hit instead of a shared_ptr allocation per send.
      */
     Transit* acquireTransit();
     void releaseTransit(Transit* transit);
 
-    /**
-     * key = from * nodes + to, adjacent pairs only. Fully populated at
-     * construction so hop-time lookups are const finds — each directed
-     * link's state is then only ever written from its source router's
-     * lane, which makes the map safe under the parallel backend.
-     */
+    /** key = from * nodes + to, adjacent pairs only. */
     std::unordered_map<std::uint64_t, Link> links_;
-    std::vector<TransitShard> transitShards_;
+    /** Owning transit pool; recycled through freeTransits_. */
+    std::vector<std::unique_ptr<Transit>> transits_;
+    std::vector<Transit*> freeTransits_;
 };
 
 /** Factory honouring NetworkConfig::ideal. */

@@ -16,7 +16,6 @@ LinkLayer::LinkLayer(Network& network, sim::Engine& engine,
     : net_(network), engine_(engine), injector_(injector), config_(config),
       srtt_(network.topology().nodes(), 0),
       rttvar_(network.topology().nodes(), 0),
-      statShards_(network.topology().nodes() + 1),
       sender_(network.topology().nodes()),
       recv_(network.topology().nodes()),
       sealed_(network.topology().nodes(), 0)
@@ -61,38 +60,13 @@ LinkLayer::clonePacket(const Packet& packet) const
     return copy;
 }
 
-std::size_t
-LinkLayer::shardIx() const
-{
-    const std::size_t ix = engine_.shardIndex();
-    return ix < statShards_.size() ? ix : statShards_.size() - 1;
-}
-
-LinkStats
-LinkLayer::stats() const
-{
-    LinkStats total;
-    for (const StatShard& s : statShards_) {
-        total.dataFrames += s.dataFrames;
-        total.retransmits += s.retransmits;
-        total.acksSent += s.acksSent;
-        total.acksReceived += s.acksReceived;
-        total.dupSuppressed += s.dupSuppressed;
-        total.crcDrops += s.crcDrops;
-        total.reordered += s.reordered;
-        total.peerDeaths += s.peerDeaths;
-        total.sealedDrops += s.sealedDrops;
-    }
-    return total;
-}
-
 void
 LinkLayer::sendData(Packet packet)
 {
     SenderChan& chan = sender_[packet.src][packet.dst];
     packet.linkCtl = kLinkData;
     packet.linkSeq = chan.nextSeq++;
-    shard().dataFrames += 1;
+    stats_.dataFrames += 1;
 
     auto [it, inserted] =
         chan.unacked.emplace(packet.linkSeq, Unacked{});
@@ -153,7 +127,7 @@ LinkLayer::receive(Packet packet, unsigned hops, Cycles injected_at,
 {
     if (!packet.crcOk) {
         // Corruption is detected, never consumed: a bad frame is a drop.
-        shard().crcDrops += 1;
+        stats_.crcDrops += 1;
         net_.noteDrop(packet.src, packet.dst, packet.msgClass,
                       packet.payloadBytes, check::DropReason::Corrupt);
         return;
@@ -163,7 +137,7 @@ LinkLayer::receive(Packet packet, unsigned hops, Cycles injected_at,
         // The source crashed and its recovery epoch sealed: whatever it
         // still had in flight (delayed injections, duplicates) must
         // never reach the protocol again.
-        shard().sealedDrops += 1;
+        stats_.sealedDrops += 1;
         net_.noteDrop(packet.src, packet.dst, packet.msgClass,
                       packet.payloadBytes, check::DropReason::Sealed);
         return;
@@ -183,7 +157,7 @@ LinkLayer::receive(Packet packet, unsigned hops, Cycles injected_at,
     if (packet.linkSeq <= chan.delivered) {
         // Already delivered: a duplicate (injected, or a retransmit
         // racing its own ack). Suppress it and repair the sender's view.
-        shard().dupSuppressed += 1;
+        stats_.dupSuppressed += 1;
         net_.noteDrop(src, dst, packet.msgClass, packet.payloadBytes,
                       check::DropReason::Duplicate);
         sendAck(dst, src, chan.delivered);
@@ -193,7 +167,7 @@ LinkLayer::receive(Packet packet, unsigned hops, Cycles injected_at,
     if (packet.linkSeq > chan.delivered + 1) {
         // A gap: park the frame so the protocol keeps seeing FIFO
         // order, and re-ack the watermark so the sender can trim.
-        shard().reordered += 1;
+        stats_.reordered += 1;
         chan.held.emplace(packet.linkSeq,
                           Held{std::move(packet), hops, injected_at,
                                queueing});
@@ -218,7 +192,7 @@ LinkLayer::receive(Packet packet, unsigned hops, Cycles injected_at,
 void
 LinkLayer::handleAck(const Packet& ack)
 {
-    shard().acksReceived += 1;
+    stats_.acksReceived += 1;
     // The data channel runs ack.dst -> ack.src (acks travel backwards),
     // so this executes on the data source's own lane.
     auto it = sender_[ack.dst].find(ack.src);
@@ -278,7 +252,7 @@ LinkLayer::sendAck(NodeId from, NodeId to, std::uint32_t cumulative)
     ack.msgClass = kLinkAckClass;
     ack.linkCtl = kLinkAck;
     ack.linkAck = cumulative;
-    shard().acksSent += 1;
+    stats_.acksSent += 1;
     transmit(std::move(ack));
 }
 
@@ -290,10 +264,8 @@ LinkLayer::armTimer(NodeId src, NodeId dst, std::uint32_t seq,
         rto(src) << std::min<unsigned>(entry.attempts, config_.backoffCap);
     // Pinned to the sender's lane, not the caller's: frames can be sent
     // from machine context (page-copy engine, crash-recovery replays),
-    // but the timer is cancelled from ack processing on node lanes — a
-    // machine-lane timer would make that a cross-window cancel. The
-    // backoff is at least one RTT, so it clears the cross-lane
-    // lookahead bound.
+    // but the timer belongs to the sender's channel, and its lane keys
+    // the timeout's own schedules.
     entry.timer = engine_.scheduleForNode(
         src, backoff, [this, src, dst, seq] { onTimeout(src, dst, seq); });
 }
@@ -318,7 +290,7 @@ LinkLayer::onTimeout(NodeId src, NodeId dst, std::uint32_t seq)
             PLUS_LOG(LogComponent::Net, "link ", src, " -> ", dst,
                      " detected peer death on frame ", seq);
             dropChannel(chan);
-            shard().peerDeaths += 1;
+            stats_.peerDeaths += 1;
             if (peerDeath_) {
                 peerDeath_(dst);
             }
@@ -334,7 +306,7 @@ LinkLayer::onTimeout(NodeId src, NodeId dst, std::uint32_t seq)
                    " retransmits (permanent partition?)",
                    net_.traceDumper_ ? net_.traceDumper_() : std::string());
     }
-    shard().retransmits += 1;
+    stats_.retransmits += 1;
     if (net_.telemetry_) {
         net_.telemetry_->onRetransmit(src, dst, seq, entry.attempts);
     }
@@ -357,9 +329,8 @@ LinkLayer::dropChannel(SenderChan& chan)
 void
 LinkLayer::purgeNode(NodeId dead)
 {
-    // Machine context only: channel state is owned by per-node lanes,
-    // and machine-lane events run stop-the-world between parallel
-    // windows, so this surgery races with nothing.
+    // Machine context only: no node-lane event is executing, so the
+    // channels are quiescent.
     for (std::size_t src = 0; src < sender_.size(); ++src) {
         auto it = sender_[src].find(dead);
         if (it != sender_[src].end()) {

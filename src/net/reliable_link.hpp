@@ -55,13 +55,7 @@ namespace net {
 
 class FaultInjector;
 
-/**
- * Reliable-layer counters (exported as net.link.* metrics). Lane-
- * sharded internally — sender-side counters bump on the source node's
- * lane, receiver-side ones on the destination's — and summed by
- * LinkLayer::stats(), so totals are exact in every engine backend
- * without atomics.
- */
+/** Reliable-layer counters (exported as net.link.* metrics). */
 struct LinkStats {
     std::uint64_t dataFrames = 0;    ///< sequenced frames first-sent
     std::uint64_t retransmits = 0;   ///< timeout-driven re-sends
@@ -91,8 +85,8 @@ class LinkLayer
     /** Unacknowledged frames across all channels (0 = all delivered). */
     std::size_t inFlight() const;
 
-    /** Aggregate counters: the sum over all lane shards. */
-    LinkStats stats() const;
+    /** Aggregate counters. */
+    LinkStats stats() const { return stats_; }
 
     /** The base retransmit timeout in use (config or latency-derived). */
     Cycles retransmitTimeout() const { return timeout_; }
@@ -114,9 +108,7 @@ class LinkLayer
     /**
      * Tear down every channel to or from @p dead: cancel retransmit
      * timers, drop unacknowledged clones and parked reorder-buffer
-     * frames. Machine context only — the channels are owned by per-node
-     * lanes, and machine-lane events run stop-the-world between
-     * parallel windows.
+     * frames. Machine context only.
      */
     void purgeNode(NodeId dead);
 
@@ -130,9 +122,8 @@ class LinkLayer
 
     /**
      * The adaptive timeout currently applied to frames @p src sends.
-     * The RTT estimate is per source node: it is only ever updated on
-     * the source's own lane, which keeps it race-free under the
-     * parallel backend.
+     * The RTT estimate is per source node, updated on the source's own
+     * lane.
      */
     Cycles
     rto(NodeId src) const
@@ -171,10 +162,6 @@ class LinkLayer
         std::map<std::uint32_t, Held> held;
     };
 
-    /** Counter shards, padded against false sharing between lanes. */
-    struct alignas(64) StatShard : LinkStats {
-    };
-
     /** Deep-copy @p packet; panics on an uncloneable payload. */
     Packet clonePacket(const Packet& packet) const;
 
@@ -193,10 +180,6 @@ class LinkLayer
     /** Fold one round-trip sample into @p src's srtt/rttvar estimate. */
     void sampleRtt(NodeId src, Cycles sample);
 
-    /** The executing lane's shard index (last shard = machine). */
-    std::size_t shardIx() const;
-    LinkStats& shard() { return statShards_[shardIx()]; }
-
     Network& net_;
     sim::Engine& engine_;
     FaultInjector& injector_;
@@ -205,12 +188,12 @@ class LinkLayer
     /** Per-source smoothed round trip and mean deviation (Jacobson). */
     std::vector<Cycles> srtt_;
     std::vector<Cycles> rttvar_;
-    std::vector<StatShard> statShards_;
+    LinkStats stats_;
     /**
      * Channel state sliced by the lane that owns it: sender_[src][dst]
      * is touched by sendData, timeouts and ack handling, all of which
      * execute on @p src's lane; recv_[dst][src] only by arrivals on
-     * @p dst's lane. No channel structure is ever shared across lanes.
+     * @p dst's lane.
      */
     std::vector<std::unordered_map<NodeId, SenderChan>> sender_;
     std::vector<std::unordered_map<NodeId, ReceiverChan>> recv_;

@@ -81,10 +81,10 @@ void
 RecoveryManager::onPeerDeath(NodeId dead)
 {
     PLUS_ASSERT(dead < nodes_.size(), "peer death of unknown node ", dead);
-    // Node-lane caller: only read state written stop-the-world, and
+    // Node-lane caller: only read state the machine lane writes, and
     // cross into the machine lane for everything else. Several lanes
-    // may race here (every channel toward the dead node can exhaust);
-    // recover() runs exactly once regardless.
+    // may report the same death (every channel toward the dead node
+    // can exhaust); recover() runs exactly once regardless.
     if (nodes_[dead].recovered) {
         return;
     }

@@ -13,7 +13,7 @@
  *     budget toward it exhausts (net::LinkLayer reports a peer death
  *     instead of panicking when recovery is armed).
  *  3. A deterministic, in-simulation recovery epoch runs in the machine
- *     lane (stop-the-world under the parallel backend):
+ *     lane:
  *       - every page with a copy on the dead node has its copy-list
  *         repaired; if the master died, the first surviving replica in
  *         list order is promoted (it dominates every later copy,
@@ -120,8 +120,8 @@ class RecoveryManager
         virtual void sealEpoch(NodeId dead, std::uint64_t epoch) = 0;
 
         /**
-         * Run @p fn in the machine lane, at least one lookahead ahead.
-         * Callable from any node lane.
+         * Run @p fn in the machine lane, delayed by the machine's
+         * node-op delay. Callable from any node lane.
          */
         virtual void toMachine(std::function<void()> fn) = 0;
     };

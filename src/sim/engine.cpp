@@ -1,12 +1,10 @@
 #include "sim/engine.hpp"
 
-#include <algorithm>
 #include <string_view>
 
 #include "common/config.hpp"
 #include "common/log.hpp"
 #include "common/panic.hpp"
-#include "sim/parallel.hpp"
 #include "telemetry/prof.hpp"
 
 namespace plus {
@@ -16,23 +14,16 @@ EngineImpl
 implFromEnv()
 {
     const char* env = envRead("PLUS_ENGINE");
-    if (env != nullptr) {
-        const std::string_view name(env);
-        if (name == "heap") {
-            return EngineImpl::Heap;
-        }
-        if (name == "parallel") {
-            return EngineImpl::Parallel;
-        }
+    const std::string_view name(env == nullptr ? "" : env);
+    if (name.empty() || name == "wheel") {
+        return EngineImpl::Wheel;
     }
-    return EngineImpl::Wheel;
+    if (name == "heap") {
+        return EngineImpl::Heap;
+    }
+    PLUS_FATAL("PLUS_ENGINE=", name, " names no engine backend; valid "
+               "names: wheel, heap");
 }
-
-namespace {
-
-constexpr std::uint32_t kIdxMask = (1U << kEventIdxBits) - 1;
-
-} // namespace
 
 Engine::Engine() : Engine(implFromEnv()) {}
 
@@ -43,81 +34,24 @@ Engine::Engine(EngineImpl impl) : impl_(impl)
 
 Engine::~Engine()
 {
-    par_.reset(); // join workers before members they reference go away
     Log::instance().setClock(nullptr);
 }
 
 void
-Engine::configure(unsigned nodes, unsigned threads, unsigned domains)
+Engine::configure(unsigned nodes)
 {
     PLUS_ASSERT(pending_ == 0 && executed_ == 0,
                 "configure() must precede any scheduling");
     PLUS_ASSERT(nodes < kMachineLane, "too many node lanes: ", nodes);
     nodes_ = nodes;
-    threads_ = threads == 0 ? 1 : threads;
-    if (nodes_ == 0 || threads_ > nodes_) {
-        threads_ = nodes_ == 0 ? 1 : nodes_;
-    }
-    if (threads_ >= kGlobalDomain) {
-        threads_ = kGlobalDomain - 1; // domain tags leave 63 for machine
-    }
-    const unsigned max_domains =
-        nodes_ == 0 ? 1 : std::min(nodes_, kGlobalDomain - 1);
-    if (domains == 0) {
-        // Auto: up to 4 domains per thread. Threads own domains
-        // round-robin, so the extra granularity load-balances skewed
-        // meshes without extra barriers.
-        const unsigned per_thread =
-            std::max(1U, std::min(4U, max_domains / threads_));
-        domains = threads_ * per_thread;
-    }
-    PLUS_ASSERT(domains <= max_domains, "domain count ", domains,
-                " exceeds min(nodes, ", kGlobalDomain - 1, ") = ",
-                max_domains);
-    PLUS_ASSERT(domains % threads_ == 0, "domain count ", domains,
-                " is not a multiple of the thread count ", threads_);
-    domains_ = domains;
     initStep_.assign(nodes_, 0);
     execStep_.assign(nodes_, 0);
-    par_.reset();
-    if (impl_ == EngineImpl::Parallel && threads_ > 1 && domains_ >= 2) {
-        par_ = std::make_unique<ParallelEngine>(*this, threads_, domains_);
-    }
-    if (par_ == nullptr) {
-        domains_ = 1; // serial: the whole node space is one domain
-    }
-}
-
-void
-Engine::setLookaheadMatrix(std::vector<Cycles> flat)
-{
-    if (par_ == nullptr) {
-        return; // serial backends have no windows to bound
-    }
-    PLUS_ASSERT(flat.size() ==
-                    static_cast<std::size_t>(domains_) * domains_,
-                "lookahead matrix must be domains^2 = ",
-                static_cast<std::size_t>(domains_) * domains_,
-                " entries, got ", flat.size());
-    for (unsigned i = 0; i < domains_; ++i) {
-        for (unsigned j = 0; j < domains_; ++j) {
-            if (i != j && flat[i * domains_ + j] == 0) {
-                PLUS_FATAL("lookahead matrix entry [", i, "][", j,
-                           "] is 0: no conservative window could ever "
-                           "open between those domains; the network's "
-                           "cross-node floor must be >= 1 cycle (set "
-                           "perHopCycles >= 1, or fixedCycles >= 1 on "
-                           "the ideal network)");
-            }
-        }
-    }
-    par_->setLookaheadMatrix(std::move(flat));
 }
 
 std::uint64_t
 Engine::makeKey2()
 {
-    SchedCtx& c = curCtx();
+    SchedCtx& c = ctx_;
     if (c.node == kMachineLane) {
         PLUS_ASSERT(machineSeq_ != 0xffffffffU,
                     "machine-context key space exhausted");
@@ -143,30 +77,27 @@ Engine::scheduleForNode(NodeId node, Cycles delay, Event fn)
     if (nodes_ == 0) {
         // Unconfigured engine (unit tests driving one subsystem
         // directly): a single machine lane serialises everything.
-        return scheduleImpl(now() + delay, std::move(fn), false,
+        return scheduleImpl(now_ + delay, std::move(fn), false,
                             kMachineLane);
     }
     PLUS_ASSERT(node < nodes_, "scheduleForNode(", node,
                 ") outside configured lanes (", nodes_, ")");
-    return scheduleImpl(now() + delay, std::move(fn), false,
+    return scheduleImpl(now_ + delay, std::move(fn), false,
                         static_cast<std::uint16_t>(node));
 }
 
 void
 Engine::scheduleMachine(Cycles delay, Event fn)
 {
-    PLUS_ASSERT(delay >= lookahead_ || curCtx().node == kMachineLane,
-                "machine-lane schedule from node context needs delay >= "
-                "lookahead (", delay, " < ", lookahead_, ")");
-    scheduleImpl(now() + delay, std::move(fn), false, kMachineLane);
+    scheduleImpl(now_ + delay, std::move(fn), false, kMachineLane);
 }
 
 EventId
 Engine::scheduleDaemon(Cycles delay, Event fn)
 {
-    PLUS_ASSERT(curCtx().node == kMachineLane,
+    PLUS_ASSERT(ctx_.node == kMachineLane,
                 "daemon events are machine-lane only");
-    return scheduleImpl(now() + delay, std::move(fn), true, kMachineLane);
+    return scheduleImpl(now_ + delay, std::move(fn), true, kMachineLane);
 }
 
 EventId
@@ -174,13 +105,9 @@ Engine::scheduleImpl(Cycles when, Event fn, bool daemon,
                      std::uint16_t lane)
 {
     PLUS_ASSERT(fn, "scheduling a null event");
-    if (par_ != nullptr) {
-        return par_->schedule(when, std::move(fn), daemon, lane);
-    }
     PLUS_ASSERT(when >= now_, "scheduling into the past: ", when, " < ",
                 now_);
     const std::uint32_t idx = slab_.allocate();
-    PLUS_ASSERT(idx <= kIdxMask, "event slab exceeds EventId index space");
     EventRecord& rec = slab_[idx];
     rec.fn = std::move(fn);
     rec.when = when;
@@ -210,17 +137,9 @@ Engine::cancel(EventId id)
     if (id == kInvalidEvent) {
         return false;
     }
-    const auto low = static_cast<std::uint32_t>(id & 0xffffffffU);
+    const auto idx = static_cast<std::uint32_t>(id & 0xffffffffU);
     const auto gen = static_cast<std::uint32_t>(id >> 32U);
-    const std::uint32_t domain = low >> kEventIdxBits;
-    const std::uint32_t idx = low & kIdxMask;
-    if (gen == 0) {
-        return false;
-    }
-    if (par_ != nullptr) {
-        return par_->cancel(domain, idx, gen);
-    }
-    if (domain != 0 || idx >= slab_.size()) {
+    if (gen == 0 || idx >= slab_.size()) {
         return false;
     }
     EventRecord& rec = slab_[idx];
@@ -261,14 +180,13 @@ Engine::nextFromHeap(Cycles limit)
 }
 
 void
-Engine::enterEventContext(const EventRecord& rec, SchedCtx& ctx)
+Engine::enterEventContext(const EventRecord& rec)
 {
-    ctx.node = rec.lane;
-    ctx.child = 0;
-    ctx.emit = 0;
-    ctx.init = false;
+    ctx_.node = rec.lane;
+    ctx_.child = 0;
+    ctx_.init = false;
     if (rec.lane != kMachineLane) {
-        ctx.step = ++execStep_[rec.lane];
+        ctx_.step = ++execStep_[rec.lane];
     }
 }
 
@@ -287,7 +205,7 @@ Engine::dispatchNext(Cycles limit)
     if (rec.daemon) {
         --daemonPending_;
     }
-    enterEventContext(rec, ctx_);
+    enterEventContext(rec);
     // Free before invoking: the callback may reschedule into this very
     // slot, and cancel() of the now-fired id must report false.
     slab_.free(idx);
@@ -309,66 +227,32 @@ Engine::run()
 void
 Engine::runUntil(Cycles limit)
 {
-    stopping_.store(false, std::memory_order_relaxed);
-    if (par_ != nullptr) {
-        par_->run(limit);
-        return;
-    }
+    stopping_ = false;
     const prof::RunTimer prof_run;
     const prof::ScopedPhase prof_scope(prof::Phase::EngineRun);
     // Daemon events execute interleaved with ordinary work but must not
     // keep the loop spinning on their own, so the exit check looks at
     // the ordinary count, not the raw queue.
-    while (!stopping_.load(std::memory_order_relaxed) &&
-           pending_ > daemonPending_ && dispatchNext(limit)) {
+    while (!stopping_ && pending_ > daemonPending_ && dispatchNext(limit)) {
     }
 }
 
 bool
 Engine::step()
 {
-    PLUS_ASSERT(par_ == nullptr,
-                "step() is not supported on the parallel backend");
     return dispatchNext(~Cycles{0});
 }
 
 std::size_t
 Engine::pendingEvents() const
 {
-    std::size_t n = pending_ - daemonPending_;
-    if (par_ != nullptr) {
-        n += par_->domainPending();
-    }
-    return n;
+    return pending_ - daemonPending_;
 }
 
 std::uint64_t
 Engine::executedEvents() const
 {
-    std::uint64_t n = executed_;
-    if (par_ != nullptr) {
-        n += par_->domainExecuted();
-    }
-    return n;
-}
-
-Engine::SchedCtx&
-Engine::parCtx()
-{
-    SchedCtx* bound = par_->boundCtx();
-    return bound != nullptr ? *bound : ctx_;
-}
-
-Cycles
-Engine::parNow() const
-{
-    return par_->boundNow(now_);
-}
-
-void
-Engine::deferParallel(Event fn)
-{
-    par_->defer(std::move(fn));
+    return executed_;
 }
 
 EngineStats
@@ -382,9 +266,6 @@ Engine::stats() const
     s.slabLive = slab_.live();
     s.slabHighWater = slab_.highWater();
     s.slabSlots = slab_.size();
-    if (par_ != nullptr) {
-        par_->addStats(s);
-    }
     return s;
 }
 

@@ -13,18 +13,15 @@
  * storage) ordered by a hierarchical timing wheel — O(1) schedule,
  * cancel and dispatch for the short fixed delays that dominate the
  * simulation. The pre-wheel `std::priority_queue` backend is kept
- * behind `PLUS_ENGINE=heap` as a determinism oracle, and
- * `PLUS_ENGINE=parallel` runs a conservatively synchronised
- * multi-threaded backend (one timing wheel per spatial domain, window
- * bound = min pending key + lookahead) that must execute the exact
- * same event order — CI diffs all three byte-for-byte (docs/PERF.md).
+ * behind `PLUS_ENGINE=heap` as a determinism oracle that must execute
+ * the exact same event order — CI diffs both byte-for-byte
+ * (docs/PERF.md).
  *
  * Scheduling contexts and lanes: every event carries a *lane* — the
  * node it executes at, or kMachineLane for machine-level work. The
- * lane decides the scheduling context its callback runs under (which
- * keys the callback's own schedules) and, under the parallel backend,
- * which domain dispatches it. Plain schedule() inherits the current
- * lane; scheduleForNode()/scheduleMachine() override it, and
+ * lane decides the scheduling context its callback runs under, which
+ * keys the callback's own schedules. Plain schedule() inherits the
+ * current lane; scheduleForNode()/scheduleMachine() override it, and
  * withNodeContext() brackets machine-side code that seeds events into
  * a node's lane (processor start, page-copy kickoff).
  */
@@ -32,9 +29,7 @@
 #ifndef PLUS_SIM_ENGINE_HPP_
 #define PLUS_SIM_ENGINE_HPP_
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -47,35 +42,26 @@
 namespace plus {
 namespace sim {
 
-class ParallelEngine;
-
 /**
  * Handle identifying a scheduled event, usable for cancellation.
- * Encodes (generation << 32 | domain << 26 | slab slot); stale
- * handles — including those of events that already fired — are
- * rejected in O(1). Cross-domain schedules under the parallel backend
- * return kInvalidEvent (they cannot be cancelled; no caller needs to).
+ * Encodes (generation << 32 | slab slot); stale handles — including
+ * those of events that already fired — are rejected in O(1).
  */
 using EventId = std::uint64_t;
 
 /** Sentinel meaning "no event". */
 inline constexpr EventId kInvalidEvent = 0;
 
-/** Bit layout of EventId below the generation. */
-inline constexpr unsigned kEventIdxBits = 26;
-inline constexpr unsigned kEventDomainBits = 6;
-/** Domain tag for the global (machine) lane in EventIds. */
-inline constexpr std::uint32_t kGlobalDomain =
-    (1U << kEventDomainBits) - 1;
-
 /** Which event-queue backend an Engine runs on. */
 enum class EngineImpl {
-    Wheel,    ///< hierarchical timing wheel (default)
-    Heap,     ///< legacy priority queue, kept as a determinism oracle
-    Parallel, ///< conservative multi-threaded wheels (PLUS_ENGINE=parallel)
+    Wheel, ///< hierarchical timing wheel (default)
+    Heap,  ///< legacy priority queue, kept as a determinism oracle
 };
 
-/** The backend named by PLUS_ENGINE (Wheel when unset/unknown). */
+/**
+ * The backend named by PLUS_ENGINE: "wheel" or "heap"; unset or empty
+ * means the wheel. Any other value is fatal.
+ */
 EngineImpl implFromEnv();
 
 /** Counters describing engine health (exported as sim.* metrics). */
@@ -84,9 +70,6 @@ struct EngineStats {
     std::uint64_t executed = 0;     ///< events dispatched
     std::uint64_t cancelled = 0;    ///< successful cancel() calls
     std::uint64_t cascades = 0;     ///< wheel slot redistributions
-    std::uint64_t windows = 0;      ///< parallel per-domain event windows
-    std::uint64_t batches = 0;      ///< parallel window batches (barriers)
-    std::uint64_t mailed = 0;       ///< cross-domain mailbox handoffs
     std::size_t slabLive = 0;       ///< records currently allocated
     std::size_t slabHighWater = 0;  ///< peak simultaneous records
     std::size_t slabSlots = 0;      ///< slab capacity (bounded by peak)
@@ -96,7 +79,7 @@ struct EngineStats {
 class Engine
 {
   public:
-    /** Backend chosen by PLUS_ENGINE ("heap" | "wheel" | "parallel"). */
+    /** Backend chosen by PLUS_ENGINE ("wheel" | "heap"). */
     Engine();
     explicit Engine(EngineImpl impl);
     ~Engine();
@@ -104,102 +87,28 @@ class Engine
     Engine(const Engine&) = delete;
     Engine& operator=(const Engine&) = delete;
 
-    /**
-     * Current simulated time in cycles. Under the parallel backend a
-     * worker thread sees its own domain's clock (and, during deferred
-     * side-effect replay, the emitting event's time), so observers and
-     * telemetry stamp identically to the serial backends.
-     */
-    Cycles
-    now() const
-    {
-        return par_ == nullptr ? now_ : parNow();
-    }
+    /** Current simulated time in cycles. */
+    Cycles now() const { return now_; }
 
     /**
-     * Declare the node-lane space, worker-thread count and spatial
-     * domain count. Must be called before any withNodeContext()/
-     * scheduleForNode() use; the Machine calls it right after
-     * constructing the engine. @p threads is clamped to [1, nodes] and
-     * only matters to the parallel backend. @p domains is the number
-     * of contiguous spatial domains the node space is split into
-     * (threads own domains round-robin; 0 = auto, up to 4 per thread);
-     * it must be a multiple of the thread count and at most
-     * min(nodes, 62).
+     * Declare the node-lane space. Must be called before any
+     * withNodeContext()/scheduleForNode() use; the Machine calls it
+     * right after constructing the engine.
      */
-    void configure(unsigned nodes, unsigned threads,
-                   unsigned domains = 0);
-
-    /**
-     * Global conservative lookahead floor: the minimum cross-node
-     * latency of the network. Lower-bounds every lookahead-matrix
-     * entry, caps a batch when node->machine mail may be in flight
-     * (see setNodeMachineMailHint) and is the delay the Machine
-     * applies to node-triggered machine ops so they execute
-     * stop-the-world. Must be >= 1 before a parallel run with more
-     * than one domain.
-     */
-    void setLookahead(Cycles lookahead) { lookahead_ = lookahead; }
-    Cycles lookahead() const { return lookahead_; }
-
-    /**
-     * Distance-aware lookahead matrix for the parallel backend:
-     * @p flat is a domains() x domains() row-major matrix where entry
-     * [src][dst] lower-bounds the delay any chain of events takes to
-     * carry work from a node of domain src to a node of domain dst
-     * (Network::crossNodeFloor of the minimum hop distance between
-     * the domains' node ranges). Entries must be >= 1 off-diagonal
-     * and satisfy the triangle inequality (automatic for floors that
-     * are monotone + subadditive in distance). Installed by the
-     * Machine at partition time; without it the parallel backend
-     * falls back to a uniform matrix of lookahead(). No-op on serial
-     * backends.
-     */
-    void setLookaheadMatrix(std::vector<Cycles> flat);
-
-    /**
-     * Hint: may node-lane events currently schedule machine-lane work
-     * (scheduleMachine from node context)? While true the parallel
-     * backend caps every batch at `global min + lookahead` so a
-     * machine-lane event created mid-batch still executes
-     * stop-the-world in key order; while false batches stretch to the
-     * next already-known machine event, which is where the batching
-     * win comes from. Defaults to true (always safe); the Machine
-     * drops it while no page copies are in flight and competitive
-     * replication is unarmed — the only two node->machine producers.
-     */
-    void setNodeMachineMailHint(bool on) { nodeMachineMailHint_ = on; }
-    bool nodeMachineMailHint() const { return nodeMachineMailHint_; }
-
-    unsigned nodes() const { return nodes_; }
-    unsigned threads() const { return threads_; }
-    /** Spatial domain count resolved by configure() (1 when serial). */
-    unsigned domains() const { return domains_; }
-
-    /** The domain owning node lane @p lane under the resolved split. */
-    unsigned
-    domainOfLane(unsigned lane) const
-    {
-        return nodes_ == 0
-                   ? 0
-                   : static_cast<unsigned>(
-                         (static_cast<std::uint64_t>(lane) * domains_) /
-                         nodes_);
-    }
+    void configure(unsigned nodes);
 
     /** Schedule @p fn to run @p delay cycles from now. */
     EventId
     schedule(Cycles delay, Event fn)
     {
-        return scheduleImpl(now() + delay, std::move(fn), false,
-                            curCtx().node);
+        return scheduleImpl(now_ + delay, std::move(fn), false, ctx_.node);
     }
 
     /** Schedule @p fn at absolute cycle @p when (must be >= now). */
     EventId
     scheduleAt(Cycles when, Event fn)
     {
-        return scheduleImpl(when, std::move(fn), false, curCtx().node);
+        return scheduleImpl(when, std::move(fn), false, ctx_.node);
     }
 
     /**
@@ -215,21 +124,12 @@ class Engine
 
     /**
      * Schedule @p fn into node @p node's lane. The key still comes
-     * from the *current* context (deterministic regardless of
-     * partitioning); only the execution lane is overridden. Under the
-     * parallel backend a cross-domain target goes through a mailbox
-     * and returns kInvalidEvent; the delay must then be at least the
-     * lookahead (network hop latencies guarantee this).
+     * from the *current* context; only the execution lane is
+     * overridden.
      */
     EventId scheduleForNode(NodeId node, Cycles delay, Event fn);
 
-    /**
-     * Schedule machine-lane work from node context. Under the parallel
-     * backend machine-lane events execute stop-the-world between
-     * windows; @p delay must be >= lookahead() so the event lands
-     * beyond the current window bound. The serial backends execute it
-     * identically (same key, same order), so behaviour never forks.
-     */
+    /** Schedule machine-lane work (from node or machine context). */
     void scheduleMachine(Cycles delay, Event fn);
 
     /**
@@ -243,35 +143,15 @@ class Engine
     {
         PLUS_ASSERT(node < nodes_, "node context ", node,
                     " outside configured lanes (", nodes_, ")");
-        SchedCtx& c = curCtx();
-        const SchedCtx saved = c;
-        c.node = static_cast<std::uint16_t>(node);
-        c.init = true;
+        const SchedCtx saved = ctx_;
+        ctx_.node = static_cast<std::uint16_t>(node);
+        ctx_.init = true;
         struct Restore {
             SchedCtx& c;
             const SchedCtx& saved;
             ~Restore() { c = saved; }
-        } restore{c, saved};
+        } restore{ctx_, saved};
         return std::forward<F>(f)();
-    }
-
-    /**
-     * Run @p fn "now" from the perspective of observable side effects.
-     * On the serial backends (and outside parallel windows) this is an
-     * immediate inline call. Inside a parallel window the closure is
-     * buffered and replayed by the coordinator in global key order
-     * with now() overridden to the emitting event's time — this is how
-     * checker hooks, telemetry and shared statistics stay byte-
-     * identical to serial execution without any locking.
-     */
-    void
-    defer(Event fn)
-    {
-        if (par_ == nullptr) {
-            fn();
-        } else {
-            deferParallel(std::move(fn));
-        }
     }
 
     /**
@@ -291,17 +171,11 @@ class Engine
      */
     void runUntil(Cycles limit);
 
-    /** Execute at most one event. @return false if the queue was empty.
-     *  Serial backends only. */
+    /** Execute at most one event. @return false if the queue was empty. */
     bool step();
 
-    /**
-     * Request that run() return. Serial backends return after the
-     * current event; the parallel backend finishes the current window
-     * first (stop() is the one asynchronous entry point, so this is
-     * the one place wall-clock parallelism is allowed to show).
-     */
-    void stop() { stopping_.store(true, std::memory_order_relaxed); }
+    /** Request that run() return after the current event. */
+    void stop() { stopping_ = true; }
 
     /**
      * Number of ordinary events pending (exact; cancelled events leave,
@@ -315,44 +189,23 @@ class Engine
     /** The backend this engine runs on. */
     EngineImpl impl() const { return impl_; }
 
-    /**
-     * Whether the multi-threaded parallel backend is actually live
-     * (Parallel impl, configured with more than one domain). The
-     * Machine uses this to interpose the deferring observer wrappers
-     * only when worker threads exist.
-     */
-    bool parallelActive() const { return par_ != nullptr; }
-
     /** Engine health counters for telemetry. */
     EngineStats stats() const;
 
+    /** Node lanes declared by configure() (0 when unconfigured). */
+    unsigned nodes() const { return nodes_; }
+
     /** Executing lane: a node id, or kMachineLane in machine context. */
-    std::uint16_t currentLane() const { return curCtx().node; }
+    std::uint16_t currentLane() const { return ctx_.node; }
 
-    /**
-     * Index for per-lane statistic shards: the executing node, or
-     * nodes() for machine context. Two events never execute in the
-     * same lane concurrently, so lane-sharded counters need no atomics
-     * and their totals are exact in every backend.
-     */
-    std::size_t
-    shardIndex() const
-    {
-        const std::uint16_t lane = curCtx().node;
-        return lane == kMachineLane ? nodes_ : lane;
-    }
-
+  private:
     /** Context events are scheduled from; the source of EventKeys. */
     struct SchedCtx {
         std::uint16_t node = kMachineLane; ///< ambient lane
         std::uint32_t step = 0;            ///< executing event's step
         std::uint16_t child = 0;           ///< next child index
-        std::uint16_t emit = 0;            ///< next deferred-effect index
         bool init = false;                 ///< inside withNodeContext()
     };
-
-  private:
-    friend class ParallelEngine;
 
     struct HeapEntry {
         EventKey key;
@@ -373,25 +226,9 @@ class Engine
     /** Canonical key tiebreak from the current scheduling context. */
     std::uint64_t makeKey2();
     /** Set the dispatch context for a record about to execute. */
-    void enterEventContext(const EventRecord& rec, SchedCtx& ctx);
+    void enterEventContext(const EventRecord& rec);
     bool dispatchNext(Cycles limit);
     std::uint32_t nextFromHeap(Cycles limit);
-
-    SchedCtx&
-    curCtx()
-    {
-        return par_ == nullptr ? ctx_ : parCtx();
-    }
-
-    const SchedCtx&
-    curCtx() const
-    {
-        return const_cast<Engine*>(this)->curCtx();
-    }
-
-    SchedCtx& parCtx();
-    Cycles parNow() const;
-    void deferParallel(Event fn);
 
     EventSlab slab_;
     TimingWheel wheel_{slab_};
@@ -399,11 +236,7 @@ class Engine
         heap_;
     EngineImpl impl_;
     Cycles now_ = 0;
-    Cycles lookahead_ = 0;
     unsigned nodes_ = 0;
-    unsigned threads_ = 1;
-    unsigned domains_ = 1;
-    bool nodeMachineMailHint_ = true;
     SchedCtx ctx_;
     std::uint32_t machineSeq_ = 0;
     std::vector<std::uint32_t> initStep_;
@@ -413,8 +246,7 @@ class Engine
     std::uint64_t cancelledTotal_ = 0;
     std::size_t pending_ = 0;
     std::size_t daemonPending_ = 0;
-    std::atomic<bool> stopping_{false};
-    std::unique_ptr<ParallelEngine> par_;
+    bool stopping_ = false;
 };
 
 } // namespace sim

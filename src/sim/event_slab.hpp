@@ -50,9 +50,8 @@ inline constexpr std::uint32_t kNilRecord = 0xffffffffU;
 /**
  * Execution lane of an event: the node whose context it runs in, or
  * kMachineLane for machine-level events (config scripts, watchdog,
- * page-management ops). Lanes drive two things: the scheduling context
- * an event executes under (which in turn keys its children), and —
- * under the parallel backend — which spatial domain dispatches it.
+ * page-management ops). The lane decides the scheduling context an
+ * event executes under, which in turn keys its children.
  */
 inline constexpr std::uint16_t kMachineLane = 0xffff;
 
@@ -61,9 +60,9 @@ inline constexpr std::uint16_t kMachineLane = 0xffff;
  * ascending (when, schedWhen, key2) order in *every* backend; the key
  * is derived purely from the scheduling context (which node/machine
  * scheduled it, that context's execution step, and a per-context child
- * counter), never from global insertion order, so the serial wheel,
- * the heap oracle and every parallel partitioning realise the same
- * total order. `key2` packs `schedNode:16 | step:32 | child:16`.
+ * counter), never from global insertion order, so the wheel and the
+ * heap oracle realise the same total order. `key2` packs
+ * `schedNode:16 | step:32 | child:16`.
  */
 struct EventKey {
     Cycles when = 0;       ///< due cycle

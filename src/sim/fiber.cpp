@@ -22,7 +22,7 @@
 
 // Under ThreadSanitizer every ucontext switch must likewise be announced
 // (__tsan_switch_to_fiber), or accesses made by different fibers on the
-// same domain thread are misattributed to one stack and reported as
+// same host thread are misattributed to one stack and reported as
 // races. The annotations also establish happens-before across the
 // switch, which is exactly the semantics a cooperative fiber has.
 #if defined(__SANITIZE_THREAD__)
@@ -42,10 +42,10 @@ namespace sim {
 
 namespace {
 
-/** Fiber currently executing on this thread (one domain per thread). */
+/** Fiber currently executing on this host thread. */
 // pluslint: allow(R4) -- per-host-thread bookkeeping for the fiber
-// switch itself; a fiber never migrates between domain threads, so this
-// cannot leak state across domains.
+// switch itself; a fiber never migrates between host threads, so
+// machines running on different threads never share it.
 thread_local Fiber* currentFiber = nullptr;
 
 /** Thrown from yield() to unwind a fiber being cancelled. */

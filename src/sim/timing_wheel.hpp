@@ -12,10 +12,10 @@
  * order; see docs/PERF.md for the determinism argument. All events
  * with equal `when` always share one level-0 slot; that slot's list is
  * kept sorted by the canonical EventKey tiebreak (schedWhen, key2), so
- * dispatch realises the same partition-independent total order as the
- * heap oracle and the parallel backend. Machine-context schedules
- * carry monotonically increasing keys, so the tail-scan insertion is
- * O(1) for them; node-context ties scan only their own cycle's list.
+ * dispatch realises the same total order as the heap oracle.
+ * Machine-context schedules carry monotonically increasing keys, so
+ * the tail-scan insertion is O(1) for them; node-context ties scan
+ * only their own cycle's list.
  *
  * One wrinkle keeps `runUntil()` honest: probing for "is the next
  * event past the limit" may legitimately advance the cursor beyond

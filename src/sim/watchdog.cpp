@@ -26,7 +26,7 @@ void
 Watchdog::stop()
 {
     if (pending_ != kInvalidEvent) {
-        stopRequested_.store(true, std::memory_order_release);
+        stopRequested_ = true;
     }
 }
 
@@ -37,14 +37,15 @@ Watchdog::cancelNow()
         engine_.cancel(pending_);
         pending_ = kInvalidEvent;
     }
-    stopRequested_.store(false, std::memory_order_relaxed);
+    stopRequested_ = false;
 }
 
 void
 Watchdog::check()
 {
     pending_ = kInvalidEvent;
-    if (stopRequested_.exchange(false, std::memory_order_acquire)) {
+    if (stopRequested_) {
+        stopRequested_ = false;
         return; // stop() arrived since the last check; go quiet
     }
     const std::uint64_t current = progress_();

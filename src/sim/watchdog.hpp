@@ -25,7 +25,6 @@
 #ifndef PLUS_SIM_WATCHDOG_HPP_
 #define PLUS_SIM_WATCHDOG_HPP_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -59,10 +58,9 @@ class Watchdog
 
     /**
      * Request quiet. Safe from any context, including node-context
-     * events on a parallel worker thread (where cancelling a machine-
-     * lane event outright is forbidden): the pending check fires once
-     * more as a no-op and disarms itself — identically in every
-     * backend, so event order never forks on the stop path.
+     * events: the pending check fires once more as a no-op and disarms
+     * itself, so the stop path's event sequence is the same whichever
+     * context requested it.
      */
     void stop();
 
@@ -85,7 +83,7 @@ class Watchdog
     ProgressFn progress_;
     DumpFn dump_;
     EventId pending_ = kInvalidEvent;
-    std::atomic<bool> stopRequested_{false};
+    bool stopRequested_ = false;
     std::uint64_t lastProgress_ = 0;
     std::uint64_t stallWindows_ = 0;
 };

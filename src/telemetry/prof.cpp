@@ -61,18 +61,6 @@ pct(std::uint64_t part, std::uint64_t whole)
                      static_cast<double>(whole);
 }
 
-bool
-isBarrier(std::size_t phase)
-{
-    return phase == static_cast<std::size_t>(Phase::ParBarrier);
-}
-
-bool
-isDrain(std::size_t phase)
-{
-    return phase == static_cast<std::size_t>(Phase::ParDrain);
-}
-
 } // namespace
 
 void
@@ -94,23 +82,6 @@ collect()
     s.ticksPerSec = calibrate();
     detail::Global& g = detail::g_prof;
     s.runWallTicks = g.runWallTicks.load(std::memory_order_relaxed);
-    s.windows = g.windows.load(std::memory_order_relaxed);
-    s.windowWidthSum = g.windowWidthSum.load(std::memory_order_relaxed);
-    s.windowWidthMax = g.windowWidthMax.load(std::memory_order_relaxed);
-    s.windowEventsSum = g.windowEventsSum.load(std::memory_order_relaxed);
-    s.windowEventsMax = g.windowEventsMax.load(std::memory_order_relaxed);
-    s.windowMailSum = g.windowMailSum.load(std::memory_order_relaxed);
-    s.batches = g.batches.load(std::memory_order_relaxed);
-    s.batchWindowsSum =
-        g.batchWindowsSum.load(std::memory_order_relaxed);
-    s.batchEventsSum = g.batchEventsSum.load(std::memory_order_relaxed);
-    s.lookahead = g.lookahead.load(std::memory_order_relaxed);
-    const std::uint64_t wmin =
-        g.windowWidthMin.load(std::memory_order_relaxed);
-    s.windowWidthMin = s.windows > 0 ? wmin : 0;
-    const std::uint64_t emin =
-        g.windowEventsMin.load(std::memory_order_relaxed);
-    s.windowEventsMin = s.windows > 0 ? emin : 0;
 
     const std::lock_guard<std::mutex> lock(g.mutex);
     for (const auto& tp : g.threads) {
@@ -132,59 +103,14 @@ collect()
 Rollup
 rollupOf(const Summary::Thread& thread, std::uint64_t run_wall_ticks)
 {
-    std::uint64_t work = 0;
-    std::uint64_t barrier = 0;
-    std::uint64_t drain = 0;
-    for (std::size_t p = 0; p < kNumPhases; ++p) {
-        if (isBarrier(p)) {
-            barrier += thread.ticks[p];
-        } else if (isDrain(p)) {
-            drain += thread.ticks[p];
-        } else {
-            work += thread.ticks[p];
-        }
-    }
-    const std::uint64_t attributed = work + barrier + drain;
+    const std::uint64_t work = thread.total();
     // Threads can spend (slightly) more than the run wall inside
     // scopes when they also ran outside Engine::run (settle(),
-    // teardown); clamp so the four buckets always cover 100%.
-    const std::uint64_t wall = std::max(run_wall_ticks, attributed);
+    // teardown); clamp so the two buckets always cover 100%.
+    const std::uint64_t wall = std::max(run_wall_ticks, work);
     Rollup r;
     r.workPct = pct(work, wall);
-    r.barrierPct = pct(barrier, wall);
-    r.drainPct = pct(drain, wall);
-    r.otherPct =
-        std::max(0.0, 100.0 - r.workPct - r.barrierPct - r.drainPct);
-    return r;
-}
-
-Rollup
-aggregateRollup(const Summary& summary)
-{
-    std::uint64_t work = 0;
-    std::uint64_t barrier = 0;
-    std::uint64_t drain = 0;
-    for (const Summary::Thread& t : summary.threads) {
-        for (std::size_t p = 0; p < kNumPhases; ++p) {
-            if (isBarrier(p)) {
-                barrier += t.ticks[p];
-            } else if (isDrain(p)) {
-                drain += t.ticks[p];
-            } else {
-                work += t.ticks[p];
-            }
-        }
-    }
-    const std::uint64_t wall = std::max(
-        summary.runWallTicks *
-            std::max<std::uint64_t>(1, summary.threads.size()),
-        work + barrier + drain);
-    Rollup r;
-    r.workPct = pct(work, wall);
-    r.barrierPct = pct(barrier, wall);
-    r.drainPct = pct(drain, wall);
-    r.otherPct =
-        std::max(0.0, 100.0 - r.workPct - r.barrierPct - r.drainPct);
+    r.otherPct = std::max(0.0, 100.0 - r.workPct);
     return r;
 }
 
@@ -196,38 +122,7 @@ writeJson(std::ostream& os)
        << ",\"ticksPerSec\":" << telemetry::jsonNumber(s.ticksPerSec)
        << ",\"runWallNs\":"
        << telemetry::jsonNumber(toNs(s.runWallTicks, s.ticksPerSec))
-       << ",\"lookahead\":" << s.lookahead << ",\"windows\":{"
-       << "\"count\":" << s.windows << ",\"widthSum\":" << s.windowWidthSum
-       << ",\"widthMin\":" << s.windowWidthMin
-       << ",\"widthMax\":" << s.windowWidthMax
-       << ",\"widthMean\":"
-       << telemetry::jsonNumber(
-              s.windows ? static_cast<double>(s.windowWidthSum) /
-                              static_cast<double>(s.windows)
-                        : 0.0)
-       << ",\"eventsSum\":" << s.windowEventsSum
-       << ",\"eventsMin\":" << s.windowEventsMin
-       << ",\"eventsMax\":" << s.windowEventsMax
-       << ",\"eventsMean\":"
-       << telemetry::jsonNumber(
-              s.windows ? static_cast<double>(s.windowEventsSum) /
-                              static_cast<double>(s.windows)
-                        : 0.0)
-       << ",\"mailSum\":" << s.windowMailSum << "},\"batches\":{"
-       << "\"count\":" << s.batches
-       << ",\"windowsSum\":" << s.batchWindowsSum
-       << ",\"windowsPerBatchMean\":"
-       << telemetry::jsonNumber(
-              s.batches ? static_cast<double>(s.batchWindowsSum) /
-                              static_cast<double>(s.batches)
-                        : 0.0)
-       << ",\"eventsSum\":" << s.batchEventsSum
-       << ",\"eventsPerBatchMean\":"
-       << telemetry::jsonNumber(
-              s.batches ? static_cast<double>(s.batchEventsSum) /
-                              static_cast<double>(s.batches)
-                        : 0.0)
-       << "},\"threads\":[";
+       << ",\"threads\":[";
     for (std::size_t i = 0; i < s.threads.size(); ++i) {
         const Summary::Thread& t = s.threads[i];
         const Rollup r = rollupOf(t, s.runWallTicks);
@@ -249,9 +144,7 @@ writeJson(std::ostream& os)
             first = false;
         }
         os << "},\"rollup\":{\"workPct\":"
-           << telemetry::jsonNumber(r.workPct) << ",\"barrierPct\":"
-           << telemetry::jsonNumber(r.barrierPct) << ",\"drainPct\":"
-           << telemetry::jsonNumber(r.drainPct) << ",\"otherPct\":"
+           << telemetry::jsonNumber(r.workPct) << ",\"otherPct\":"
            << telemetry::jsonNumber(r.otherPct) << "}}";
     }
     os << "]}";
@@ -328,18 +221,6 @@ reset()
 {
     detail::Global& g = detail::g_prof;
     g.runWallTicks.store(0, std::memory_order_relaxed);
-    g.windows.store(0, std::memory_order_relaxed);
-    g.windowWidthSum.store(0, std::memory_order_relaxed);
-    g.windowWidthMin.store(~std::uint64_t{0}, std::memory_order_relaxed);
-    g.windowWidthMax.store(0, std::memory_order_relaxed);
-    g.windowEventsSum.store(0, std::memory_order_relaxed);
-    g.windowEventsMin.store(~std::uint64_t{0}, std::memory_order_relaxed);
-    g.windowEventsMax.store(0, std::memory_order_relaxed);
-    g.windowMailSum.store(0, std::memory_order_relaxed);
-    g.batches.store(0, std::memory_order_relaxed);
-    g.batchWindowsSum.store(0, std::memory_order_relaxed);
-    g.batchEventsSum.store(0, std::memory_order_relaxed);
-    g.lookahead.store(0, std::memory_order_relaxed);
     const std::lock_guard<std::mutex> lock(g.mutex);
     for (const auto& tp : g.threads) {
         for (std::size_t p = 0; p < kNumPhases; ++p) {

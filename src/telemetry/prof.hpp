@@ -4,10 +4,8 @@
  *
  * The simulator's telemetry (metrics registry, event tracer) lives in
  * simulated cycles; this subsystem answers the orthogonal question of
- * where *host wall-clock* goes: serial dispatch vs. protocol handlers
- * vs. network delivery, and — critically for the parallel backend —
- * per-thread work vs. barrier-wait vs. mailbox-drain, per-window width
- * and event counts (ROADMAP items 1 and 4).
+ * where *host wall-clock* goes: the dispatch loop vs. processor
+ * dispatch vs. protocol handlers vs. network delivery.
  *
  * Design rules:
  *
@@ -16,8 +14,8 @@
  *    nested scope's cycles are subtracted from its parent, so the
  *    breakdown sums to attributed wall-clock without double counting.
  *  - Scopes are placed at event-handler granularity (a protocol
- *    message, a delivered packet, a processor dispatch, a parallel
- *    window), never per simulated event, so the enabled overhead stays
+ *    message, a delivered packet, a processor dispatch), never per
+ *    simulated event, so the enabled overhead stays
  *    within the CI gate and the disabled cost is one relaxed load.
  *  - One-way boundary: the profiler only ever *reads* host time and
  *    *writes* its own accumulators. Nothing in here is reachable from
@@ -68,11 +66,6 @@ enum class Phase : std::uint8_t {
     ProcDispatch, ///< processor fiber dispatch (mem ops run inside)
     ProtoHandle,  ///< coherence-manager message handler
     NetDeliver,   ///< network packet delivery + handler upcall
-    ParWork,      ///< parallel: executing events inside a window
-    ParBarrier,   ///< parallel: waiting at the window barrier
-    ParDrain,     ///< parallel: coordinator draining cross-domain mail
-    ParReplay,    ///< parallel: coordinator replaying deferred effects
-    ParMachine,   ///< parallel: stop-the-world machine-lane dispatch
     NumPhases
 };
 
@@ -80,9 +73,10 @@ constexpr std::size_t kNumPhases =
     static_cast<std::size_t>(Phase::NumPhases);
 
 constexpr const char* kPhaseNames[kNumPhases] = {
-    "engine.run", "proc.dispatch", "proto.handle",
-    "net.deliver", "par.work",     "par.barrier",
-    "par.drain",   "par.replay",   "par.machine",
+    "engine.run",
+    "proc.dispatch",
+    "proto.handle",
+    "net.deliver",
 };
 
 /** Flight-recorder depth per thread (power of two). */
@@ -155,20 +149,6 @@ struct Global {
     std::vector<std::unique_ptr<ThreadProf>> threads;
     /** Wall ticks spent inside Engine::run/runUntil (the 100% line). */
     std::atomic<std::uint64_t> runWallTicks{0};
-    /** Parallel-backend window statistics (coordinator-written). */
-    std::atomic<std::uint64_t> windows{0};
-    std::atomic<std::uint64_t> windowWidthSum{0};
-    std::atomic<std::uint64_t> windowWidthMin{~std::uint64_t{0}};
-    std::atomic<std::uint64_t> windowWidthMax{0};
-    std::atomic<std::uint64_t> windowEventsSum{0};
-    std::atomic<std::uint64_t> windowEventsMin{~std::uint64_t{0}};
-    std::atomic<std::uint64_t> windowEventsMax{0};
-    std::atomic<std::uint64_t> windowMailSum{0};
-    /** Parallel-backend batch statistics (coordinator-written). */
-    std::atomic<std::uint64_t> batches{0};
-    std::atomic<std::uint64_t> batchWindowsSum{0};
-    std::atomic<std::uint64_t> batchEventsSum{0};
-    std::atomic<std::uint64_t> lookahead{0};
 };
 
 // pluslint: allow(R4) -- the profiler's whole job is mutable host-side
@@ -230,15 +210,6 @@ enabled()
 
 /** Turn recording on/off programmatically (wins over PLUS_PROF). */
 void enable(bool on);
-
-/** Label the calling thread in reports ("main", "worker3", ...). */
-inline void
-setThreadLabel(const char* label)
-{
-    detail::ThreadProf& tp = detail::threadProf();
-    const std::lock_guard<std::mutex> lock(detail::g_prof.mutex);
-    std::snprintf(tp.label, sizeof(tp.label), "%s", label);
-}
 
 /**
  * RAII scoped phase timer. Accumulates exclusive host ticks for @p
@@ -318,65 +289,6 @@ class RunTimer
     bool active_ = false;
 };
 
-namespace detail {
-
-inline void
-noteMinMax(std::atomic<std::uint64_t>& lo, std::atomic<std::uint64_t>& hi,
-           std::uint64_t v)
-{
-    std::uint64_t cur = lo.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !lo.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-    cur = hi.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !hi.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-    }
-}
-
-} // namespace detail
-
-/** Parallel coordinator: one completed window's shape. */
-inline void
-noteWindow(std::uint64_t width_cycles, std::uint64_t events,
-           std::uint64_t mails)
-{
-    if (!enabled()) {
-        return;
-    }
-    detail::Global& g = detail::g_prof;
-    g.windows.fetch_add(1, std::memory_order_relaxed);
-    g.windowWidthSum.fetch_add(width_cycles, std::memory_order_relaxed);
-    detail::noteMinMax(g.windowWidthMin, g.windowWidthMax, width_cycles);
-    g.windowEventsSum.fetch_add(events, std::memory_order_relaxed);
-    detail::noteMinMax(g.windowEventsMin, g.windowEventsMax, events);
-    g.windowMailSum.fetch_add(mails, std::memory_order_relaxed);
-}
-
-/** Parallel coordinator: one completed window batch (the windows and
- *  events it spanned between two barrier crossings). */
-inline void
-noteBatch(std::uint64_t windows, std::uint64_t events)
-{
-    if (!enabled()) {
-        return;
-    }
-    detail::Global& g = detail::g_prof;
-    g.batches.fetch_add(1, std::memory_order_relaxed);
-    g.batchWindowsSum.fetch_add(windows, std::memory_order_relaxed);
-    g.batchEventsSum.fetch_add(events, std::memory_order_relaxed);
-}
-
-/** Parallel coordinator: the conservative lookahead in use. */
-inline void
-noteLookahead(std::uint64_t cycles)
-{
-    if (!enabled()) {
-        return;
-    }
-    detail::g_prof.lookahead.store(cycles, std::memory_order_relaxed);
-}
-
 // ---- Reporting (prof.cpp, plus_telemetry) -------------------------------
 
 /** Everything collect() reads at one instant, tick-domain. */
@@ -397,26 +309,12 @@ struct Summary {
     double ticksPerSec = 0;
     std::uint64_t runWallTicks = 0;
     std::vector<Thread> threads; ///< threads with any recorded phase
-    std::uint64_t windows = 0;
-    std::uint64_t windowWidthSum = 0;
-    std::uint64_t windowWidthMin = 0;
-    std::uint64_t windowWidthMax = 0;
-    std::uint64_t windowEventsSum = 0;
-    std::uint64_t windowEventsMin = 0;
-    std::uint64_t windowEventsMax = 0;
-    std::uint64_t windowMailSum = 0;
-    std::uint64_t batches = 0;
-    std::uint64_t batchWindowsSum = 0;
-    std::uint64_t batchEventsSum = 0;
-    std::uint64_t lookahead = 0;
 };
 
-/** Per-thread {work, barrier-wait, mailbox-drain, other} percentages
- *  of the run's wall clock. */
+/** Per-thread {work, other} percentages of the run's wall clock: time
+ *  inside a phase scope vs. time outside every scope. */
 struct Rollup {
     double workPct = 0;
-    double barrierPct = 0;
-    double drainPct = 0;
     double otherPct = 0;
 };
 
@@ -427,13 +325,10 @@ Summary collect();
 Rollup rollupOf(const Summary::Thread& thread,
                 std::uint64_t run_wall_ticks);
 
-/** Aggregate rollup over every thread in @p summary. */
-Rollup aggregateRollup(const Summary& summary);
-
 /**
  * Write the profile as one JSON object (the --prof-out payload; also
  * embeddable in a larger document): calibrated ns per phase per
- * thread, per-thread rollups, and the parallel window statistics.
+ * thread and per-thread rollups.
  */
 void writeJson(std::ostream& os);
 
@@ -447,7 +342,7 @@ std::string summaryTable();
  */
 std::string flightRecorderDump(std::size_t max_per_thread = 8);
 
-/** Zero every accumulator and the window stats (threads stay known). */
+/** Zero every accumulator (threads stay known). */
 void reset();
 
 } // namespace prof

@@ -1,7 +1,6 @@
 #include "workloads/beam.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/panic.hpp"
 #include "core/context.hpp"
@@ -151,7 +150,7 @@ struct BeamShared {
     const BeamConfig* cfg;
     WorkQueue* queues[2]; ///< alternating layer queue sets
     NodeBarrier* barrier;
-    std::atomic<std::uint64_t>* expansions;
+    std::uint64_t* expansions;
 };
 
 /**
@@ -335,7 +334,7 @@ beamWorker(Context& ctx, const BeamShared& sh, NodeId self, unsigned me)
             }
 
             const auto v = static_cast<std::uint32_t>(*item);
-            sh.expansions->fetch_add(1, std::memory_order_relaxed);
+            ++*sh.expansions;
             expandState(ctx, sh, v, next_parity);
             ctx.fadd(img.pendingAddr(layer), static_cast<Word>(-1));
         }
@@ -402,7 +401,7 @@ runBeam(core::Machine& machine, const Graph& graph, const BeamConfig& cfg)
         NodeBarrier::create(machine, thread_nodes, true);
     machine.settle();
 
-    std::atomic<std::uint64_t> expansions{0};
+    std::uint64_t expansions = 0;
     BeamShared shared{&img, &cfg, {&wq0, &wq1}, &barrier, &expansions};
 
     unsigned participant = 0;
@@ -421,7 +420,7 @@ runBeam(core::Machine& machine, const Graph& graph, const BeamConfig& cfg)
 
     BeamResult result;
     result.elapsed = machine.now() - start;
-    result.expansions = expansions.load();
+    result.expansions = expansions;
     result.report = machine.report() - baseline;
 
     const std::vector<std::uint32_t> ref =

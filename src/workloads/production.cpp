@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 
 #include "common/panic.hpp"
 #include "core/context.hpp"
@@ -170,9 +169,8 @@ replicateImage(Machine& machine, const ProductionImage& img,
 void
 productionWorker(Context& ctx, const ProductionImage& img, WorkQueue& wq,
                  const ProductionConfig& cfg, NodeId self,
-                 const RuleBase& base,
-                 std::atomic<std::uint64_t>& matches,
-                 std::atomic<std::uint64_t>& firings)
+                 const RuleBase& base, std::uint64_t& matches,
+                 std::uint64_t& firings)
 {
     std::vector<std::uint32_t> overflow;
     if (self == 0) {
@@ -338,8 +336,8 @@ runProduction(core::Machine& machine, const RuleBase& base,
     }
     WorkQueue wq = WorkQueue::create(machine, lanes, cfg.replication);
 
-    std::atomic<std::uint64_t> matches{0};
-    std::atomic<std::uint64_t> firings{0};
+    std::uint64_t matches = 0;
+    std::uint64_t firings = 0;
     for (NodeId n = 0; n < nodes; ++n) {
         machine.spawn(n, [&, n](Context& ctx) {
             productionWorker(ctx, img, wq, cfg, n, base, matches,
@@ -352,8 +350,8 @@ runProduction(core::Machine& machine, const RuleBase& base,
 
     ProductionResult result;
     result.elapsed = machine.now() - start;
-    result.matches = matches.load();
-    result.firings = firings.load();
+    result.matches = matches;
+    result.firings = firings;
     result.report = machine.report() - baseline;
 
     const std::vector<bool> expected = closure(base);

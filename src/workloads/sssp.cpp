@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <atomic>
 #include <deque>
 
 #include "common/panic.hpp"
@@ -179,8 +178,7 @@ replicateImage(Machine& machine, const SsspImage& img, const Graph& graph,
 /** Per-worker relaxation loop. */
 void
 worker(Context& ctx, const SsspImage& img, WorkQueue& wq,
-       const SsspConfig& cfg, NodeId self,
-       std::atomic<std::uint64_t>& relaxations)
+       const SsspConfig& cfg, NodeId self, std::uint64_t& relaxations)
 {
     const bool pipelined = ctx.mode() == ProcessorMode::Delayed;
     Word trace_cursor = 0;
@@ -360,7 +358,7 @@ runSssp(core::Machine& machine, const Graph& graph, const SsspConfig& cfg)
     }
     WorkQueue wq = WorkQueue::create(machine, lanes, cfg.replication);
 
-    std::atomic<std::uint64_t> relaxations{0};
+    std::uint64_t relaxations = 0;
     for (NodeId n = 0; n < nodes; ++n) {
         machine.spawn(n, [&img, &wq, &cfg, n, &relaxations](Context& ctx) {
             worker(ctx, img, wq, cfg, n, relaxations);
@@ -374,7 +372,7 @@ runSssp(core::Machine& machine, const Graph& graph, const SsspConfig& cfg)
 
     SsspResult result;
     result.elapsed = machine.now() - start;
-    result.relaxations = relaxations.load();
+    result.relaxations = relaxations;
     result.report = machine.report() - baseline;
 
     const std::vector<std::uint32_t> expected =

@@ -24,7 +24,6 @@ TEST(Builder, KnobsReachConfig)
                                  .framesPerNode(64)
                                  .mode(ProcessorMode::ContextSwitch)
                                  .engine(Engine::Heap)
-                                 .threads(2)
                                  .seed(99)
                                  .meshWidth(4)
                                  .invariants(false)
@@ -35,7 +34,6 @@ TEST(Builder, KnobsReachConfig)
     EXPECT_EQ(c.framesPerNode, 64u);
     EXPECT_EQ(c.mode, ProcessorMode::ContextSwitch);
     EXPECT_EQ(c.engine, SimEngine::Heap);
-    EXPECT_EQ(c.simThreads, 2u);
     EXPECT_EQ(c.seed, 99u);
     EXPECT_EQ(c.network.meshWidth, 4u);
     EXPECT_FALSE(c.check.invariants);
@@ -76,14 +74,14 @@ TEST(Builder, TuneEscapeHatchSeesFullConfig)
 
 TEST(Builder, EngineStringRoundTrip)
 {
-    for (Engine e :
-         {Engine::Auto, Engine::Wheel, Engine::Heap, Engine::Parallel}) {
+    for (Engine e : {Engine::Auto, Engine::Wheel, Engine::Heap}) {
         Engine parsed = Engine::Auto;
         EXPECT_TRUE(engineFromString(toString(e), parsed));
         EXPECT_EQ(parsed, e);
     }
     Engine parsed = Engine::Auto;
     EXPECT_FALSE(engineFromString("quantum", parsed));
+    EXPECT_FALSE(engineFromString("parallel", parsed));
 }
 
 TEST(Builder, BuiltMachineMatchesKnobs)

@@ -1,8 +1,8 @@
 /**
  * @file
  * End-to-end machine tests: allocation, coherent reads/writes across
- * nodes, interlocked operations, fences, and the pending-writes rules of
- * Section 2.3.
+ * nodes, interlocked operations, fences, the pending-writes rules of
+ * Section 2.3, and wheel/heap backend identity on a whole machine.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 
 #include "core/context.hpp"
 #include "core/machine.hpp"
+#include "plus/plus.hpp"
 
 namespace plus {
 namespace core {
@@ -394,6 +395,112 @@ TEST(Machine, ReadyPollIsNonBlocking)
     m.run();
     EXPECT_GT(polls, 0u); // the result took a round trip to arrive
     EXPECT_EQ(m.peek(a), 1u);
+}
+
+/** What a backend-identity run compares: time, memory, statistics. */
+struct RunOutcome {
+    Cycles elapsed = 0;
+    std::vector<Word> image;
+    MachineReport report;
+    std::uint64_t executed = 0;
+};
+
+/**
+ * The sim_harness mixed workload (replicated-page update chains, remote
+ * reads, delayed interlocked operations, fences), shrunk to unit-test
+ * size.
+ */
+RunOutcome
+runHarness(Engine backend, Protocol protocol)
+{
+    constexpr unsigned kNodes = 8;
+    constexpr unsigned kCopies = 3;
+    auto machine_ptr = MachineBuilder()
+                           .nodes(kNodes)
+                           .framesPerNode(64)
+                           .engine(backend)
+                           .protocol(protocol)
+                           .build();
+    Machine& m = *machine_ptr;
+
+    std::vector<Addr> pages(kNodes);
+    for (NodeId n = 0; n < kNodes; ++n) {
+        pages[n] = m.alloc(kPageBytes, n);
+        for (unsigned c = 1; c < kCopies; ++c) {
+            m.replicate(pages[n], (n + c) % kNodes);
+        }
+    }
+    const Addr counter = m.alloc(kPageBytes, 0);
+    m.settle();
+
+    for (NodeId n = 0; n < kNodes; ++n) {
+        m.spawn(n, [&pages, counter, n](Context& ctx) {
+            const Addr own = pages[n];
+            const Addr peer = pages[(n + 1) % kNodes];
+            std::deque<OpHandle> window;
+            for (Word i = 0; i < 16; ++i) {
+                ctx.write(own + 4 * (i % 8), n * 1000 + i);
+                ctx.read(peer + 4 * (i % 8));
+                ctx.compute(15);
+                if (i % 4 == 0) {
+                    window.push_back(ctx.issueFadd(counter, 1));
+                }
+                if (window.size() > 2) {
+                    ctx.verify(window.front());
+                    window.pop_front();
+                }
+            }
+            while (!window.empty()) {
+                ctx.verify(window.front());
+                window.pop_front();
+            }
+            ctx.fence();
+        });
+    }
+    m.run();
+
+    RunOutcome out;
+    out.elapsed = m.now();
+    for (NodeId n = 0; n < kNodes; ++n) {
+        for (Word off = 0; off < 64; off += 4) {
+            out.image.push_back(m.peek(pages[n] + off));
+        }
+    }
+    out.image.push_back(m.peek(counter));
+    out.report = m.report();
+    out.executed = m.engine().executedEvents();
+    return out;
+}
+
+void
+expectIdentical(const RunOutcome& ref, const RunOutcome& got,
+                const char* label)
+{
+    EXPECT_EQ(ref.elapsed, got.elapsed) << label;
+    EXPECT_EQ(ref.image, got.image) << label;
+    EXPECT_EQ(ref.report.localReads, got.report.localReads) << label;
+    EXPECT_EQ(ref.report.remoteReads, got.report.remoteReads) << label;
+    EXPECT_EQ(ref.report.localWrites, got.report.localWrites) << label;
+    EXPECT_EQ(ref.report.remoteWrites, got.report.remoteWrites) << label;
+    EXPECT_EQ(ref.report.updateMessages, got.report.updateMessages)
+        << label;
+    EXPECT_EQ(ref.report.totalMessages, got.report.totalMessages)
+        << label;
+    EXPECT_EQ(ref.executed, got.executed) << label;
+}
+
+TEST(Machine, CrossBackendIdentity)
+{
+    // The heap backend is the wheel's determinism oracle: a whole
+    // machine must finish at the same cycle with the same memory image,
+    // statistics and event count, under either coherence protocol.
+    for (Protocol protocol :
+         {Protocol::WriteUpdate, Protocol::WriteInvalidate}) {
+        const RunOutcome wheel = runHarness(Engine::Wheel, protocol);
+        ASSERT_FALSE(wheel.image.empty());
+        expectIdentical(wheel, runHarness(Engine::Heap, protocol),
+                        toString(protocol));
+    }
 }
 
 } // namespace

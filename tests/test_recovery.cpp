@@ -9,7 +9,7 @@
  * only copy died served degraded (bounded PageLost completion with
  * kPageLostValue). The whole recovery epoch is deterministic: the
  * post-recovery image and statistics must be byte-identical across the
- * wheel, heap, and parallel engine backends.
+ * wheel and heap engine backends.
  */
 
 #include <gtest/gtest.h>
@@ -54,12 +54,11 @@ constexpr Word kIters = 80;
  * must crash topological corner nodes.
  */
 MachineConfig
-recoveryConfig(SimEngine backend = SimEngine::Wheel, unsigned threads = 0)
+recoveryConfig(SimEngine backend = SimEngine::Wheel)
 {
     MachineConfig cfg;
     cfg.nodes = 4;
     cfg.engine = backend;
-    cfg.simThreads = threads;
     cfg.network.meshWidth = 4;
     cfg.network.fault.enabled = true;
     cfg.network.fault.recover = true;
@@ -243,12 +242,12 @@ TEST(Recovery, MetricsAndPanicSummaryExposeTheEpoch)
 
 TEST(Recovery, PostRecoveryImageIsByteIdenticalAcrossBackends)
 {
-    auto runOn = [](SimEngine backend, unsigned threads) {
-        MachineConfig cfg = recoveryConfig(backend, threads);
+    auto runOn = [](SimEngine backend) {
+        MachineConfig cfg = recoveryConfig(backend);
         Machine m(cfg);
         return runCrashScenario(m);
     };
-    const Outcome wheel = runOn(SimEngine::Wheel, 0);
+    const Outcome wheel = runOn(SimEngine::Wheel);
     ASSERT_FALSE(wheel.image.empty());
 
     auto expectIdentical = [&wheel](const Outcome& got, const char* label) {
@@ -265,9 +264,7 @@ TEST(Recovery, PostRecoveryImageIsByteIdenticalAcrossBackends)
         EXPECT_EQ(wheel.rec.lostCompletions, got.rec.lostCompletions)
             << label;
     };
-    expectIdentical(runOn(SimEngine::Heap, 0), "heap");
-    expectIdentical(runOn(SimEngine::Parallel, 2), "parallel t=2");
-    expectIdentical(runOn(SimEngine::Parallel, 4), "parallel t=4");
+    expectIdentical(runOn(SimEngine::Heap), "heap");
 }
 
 // --- configuration validation -------------------------------------------
