@@ -2,7 +2,10 @@
 # Continuous-integration driver for the PLUS simulator.
 #
 #   1. tier-1:     regular build + full test suite
-#   2. sanitize:   ASan+UBSan build (PLUS_SANITIZE=ON) + full test suite
+#   2. sanitize:   ASan+UBSan build (PLUS_SANITIZE=ON) + full test suite,
+#                  then the fiber, processor, machine and recovery tests
+#                  again with detect_stack_use_after_return=1, so the
+#                  fiber switch's ASan fake-stack annotations are exercised
 #   3. tidy:       clang-tidy over src/ — FATAL when the tool is present
 #                  (per-file exit codes aggregated; one failing TU fails
 #                  the stage), skipped with a warning when it is absent
@@ -75,6 +78,12 @@ run_sanitize() {
     cmake -B build-asan -S . -DPLUS_SANITIZE=ON >/dev/null
     cmake --build build-asan -j "$JOBS"
     ctest --test-dir build-asan --output-on-failure -j "$JOBS"
+    echo "=== sanitize: fiber-switching tests with fake stacks ==="
+    local t
+    for t in test_fiber test_processor test_machine test_recovery; do
+        ASAN_OPTIONS="$ASAN_OPTIONS:detect_stack_use_after_return=1" \
+            "build-asan/tests/$t"
+    done
 }
 
 run_tidy() {

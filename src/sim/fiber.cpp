@@ -1,12 +1,58 @@
 #include "sim/fiber.hpp"
 
 #include <cstdint>
+#include <cstring>
 
 #include "common/panic.hpp"
 
+#if !defined(__x86_64__) || defined(__ILP32__) || defined(_WIN32)
+#error "sim/fiber.cpp: plus_fiber_switch is written for the System V x86-64 ABI; this target needs a port of it"
+#endif
+
+// plus_fiber_switch(save_sp, next_sp): push the System V callee-saved
+// registers (rbp, rbx, r12-r15) and the MXCSR and x87 control words onto
+// the current stack, store the stack pointer in *save_sp, load next_sp,
+// and pop the same set from there. The return lands wherever the incoming
+// stack was suspended, or in Fiber::entry for a fresh fiber whose first
+// frame the constructor laid out in this order. Everything else is
+// caller-saved, so the compiler already spills it around the call.
+asm(R"(
+    .pushsection .text
+    .globl plus_fiber_switch
+    .hidden plus_fiber_switch
+    .type plus_fiber_switch, @function
+    .p2align 4
+plus_fiber_switch:
+    pushq %rbp
+    pushq %rbx
+    pushq %r12
+    pushq %r13
+    pushq %r14
+    pushq %r15
+    subq $8, %rsp
+    stmxcsr (%rsp)
+    fnstcw 4(%rsp)
+    movq %rsp, (%rdi)
+    movq %rsi, %rsp
+    ldmxcsr (%rsp)
+    fldcw 4(%rsp)
+    addq $8, %rsp
+    popq %r15
+    popq %r14
+    popq %r13
+    popq %r12
+    popq %rbx
+    popq %rbp
+    ret
+    .size plus_fiber_switch, .-plus_fiber_switch
+    .popsection
+)");
+
+extern "C" void plus_fiber_switch(void** save_sp, void* next_sp);
+
 // When built with AddressSanitizer, every stack switch must be announced
 // so ASan tracks the fake-stack of the context being entered; otherwise
-// ucontext switches look like wild stack changes and produce false
+// the switches look like wild stack changes and produce false
 // positives (or crashes with detect_stack_use_after_return).
 #if defined(__SANITIZE_ADDRESS__)
 #define PLUS_ASAN_FIBERS 1
@@ -20,7 +66,7 @@
 #include <sanitizer/common_interface_defs.h>
 #endif
 
-// Under ThreadSanitizer every ucontext switch must likewise be announced
+// Under ThreadSanitizer every stack switch must likewise be announced
 // (__tsan_switch_to_fiber), or accesses made by different fibers on the
 // same host thread are misattributed to one stack and reported as
 // races. The annotations also establish happens-before across the
@@ -108,7 +154,7 @@ tsanCurrentFiber()
 #endif
 }
 
-/** Announce the swapcontext about to happen; call right before it. */
+/** Announce the stack switch about to happen; call right before it. */
 void
 tsanSwitchTo(void* fiber)
 {
@@ -128,19 +174,31 @@ Fiber::Fiber(std::function<void()> body, std::size_t stack_bytes)
       stackBytes_(stack_bytes)
 {
     PLUS_ASSERT(body_, "fiber needs a body");
-    if (getcontext(&context_) != 0) {
-        PLUS_PANIC("getcontext failed");
-    }
-    context_.uc_stack.ss_sp = stack_.get();
-    context_.uc_stack.ss_size = stack_bytes;
-    context_.uc_link = nullptr; // we always swap back explicitly
 
-    // makecontext only passes ints; split the pointer into two halves.
-    auto self = reinterpret_cast<std::uintptr_t>(this);
-    auto hi = static_cast<unsigned>(self >> 32);
-    auto lo = static_cast<unsigned>(self & 0xffffffffu);
-    makecontext(&context_, reinterpret_cast<void (*)()>(&Fiber::trampoline),
-                2, hi, lo);
+    // First frame, popped by the first plus_fiber_switch into the fiber:
+    // the creator's FP control words, zeroed callee-saved registers
+    // (rbp = 0 ends frame-pointer backtraces), Fiber::entry as the return
+    // address and a null return address above it for entry itself. The
+    // frame ends at the 16-byte-aligned stack top, so entry starts with
+    // rsp = 8 mod 16 as if it had been called.
+    std::uint32_t mxcsr = 0;
+    std::uint16_t fpucw = 0;
+    asm volatile("stmxcsr %0" : "=m"(mxcsr));
+    asm volatile("fnstcw %0" : "=m"(fpucw));
+    const std::uint64_t frame[] = {
+        mxcsr | std::uint64_t{fpucw} << 32,
+        0, 0, 0, 0, 0, 0, // r15 r14 r13 r12 rbx rbp
+        reinterpret_cast<std::uintptr_t>(&Fiber::entry),
+        0,
+    };
+    PLUS_ASSERT(stack_bytes >= sizeof(frame) + 16,
+                "fiber stack of ", stack_bytes,
+                " bytes cannot hold its initial frame");
+    const std::uintptr_t top =
+        (reinterpret_cast<std::uintptr_t>(stack_.get()) + stack_bytes) &
+        ~std::uintptr_t{15};
+    sp_ = reinterpret_cast<void*>(top - sizeof(frame));
+    std::memcpy(sp_, frame, sizeof(frame));
     tsanFiber_ = tsanCreateFiber();
 }
 
@@ -151,11 +209,9 @@ Fiber::~Fiber()
 }
 
 void
-Fiber::trampoline(unsigned hi, unsigned lo)
+Fiber::entry()
 {
-    auto self = reinterpret_cast<Fiber*>(
-        (static_cast<std::uintptr_t>(hi) << 32) |
-        static_cast<std::uintptr_t>(lo));
+    Fiber* self = currentFiber;
     // First activation: no fake stack to restore; learn the resumer
     // stack's bounds for the switches back.
     finishSwitch(nullptr, &self->returnBottom_, &self->returnSize_);
@@ -170,19 +226,19 @@ Fiber::run()
     } catch (const Cancelled&) {
         // Destructor-driven unwind; nobody is waiting for a result.
     } catch (...) {
-        // Unwinding across swapcontext is undefined behaviour; park the
+        // An exception cannot unwind across the stack switch; park the
         // exception and let resume() rethrow it on the resumer's stack.
         pending_ = std::current_exception();
     }
     finished_ = true;
-    // Return control to the resumer for the last time. The context swap
+    // Return control to the resumer for the last time. The switch
     // never comes back here; a null fake-stack save tells ASan to destroy
     // this fiber's fake stack.
     Fiber* self = currentFiber;
     currentFiber = nullptr;
     startSwitch(nullptr, self->returnBottom_, self->returnSize_);
     tsanSwitchTo(self->tsanReturn_);
-    swapcontext(&self->context_, &self->returnContext_);
+    plus_fiber_switch(&self->sp_, self->returnSp_);
     PLUS_PANIC("resumed a finished fiber");
 }
 
@@ -198,9 +254,7 @@ Fiber::switchIn()
     startSwitch(&resumer_fake_stack, stack_.get(), stackBytes_);
     tsanReturn_ = tsanCurrentFiber();
     tsanSwitchTo(tsanFiber_);
-    if (swapcontext(&returnContext_, &context_) != 0) {
-        PLUS_PANIC("swapcontext into fiber failed");
-    }
+    plus_fiber_switch(&returnSp_, sp_);
     finishSwitch(resumer_fake_stack, nullptr, nullptr);
 }
 
@@ -240,9 +294,7 @@ Fiber::yield()
     startSwitch(&self->fiberFakeStack_, self->returnBottom_,
                 self->returnSize_);
     tsanSwitchTo(self->tsanReturn_);
-    if (swapcontext(&self->context_, &self->returnContext_) != 0) {
-        PLUS_PANIC("swapcontext out of fiber failed");
-    }
+    plus_fiber_switch(&self->sp_, self->returnSp_);
     // Resumed again: restore the current-fiber marker and refresh the
     // resumer-stack bounds (the resumer may differ between activations).
     finishSwitch(self->fiberFakeStack_, &self->returnBottom_,

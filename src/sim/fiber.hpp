@@ -5,14 +5,14 @@
  * The PLUS simulator, like the authors' original, is driven by application
  * code: each simulated thread runs real C++ on its own stack and yields to
  * the event loop whenever it performs an operation with simulated cost.
- * Fibers are built on POSIX ucontext; the simulation is single-OS-threaded,
- * so no locking is needed.
+ * A switch is one short System V x86-64 routine (sim/fiber.cpp) that saves
+ * the callee-saved registers and FP control words on the outgoing stack and
+ * restores them from the incoming one: no system call, no signal mask. The
+ * simulation is single-OS-threaded, so no locking is needed.
  */
 
 #ifndef PLUS_SIM_FIBER_HPP_
 #define PLUS_SIM_FIBER_HPP_
-
-#include <ucontext.h>
 
 #include <cstddef>
 #include <exception>
@@ -54,7 +54,7 @@ class Fiber
      *
      * An exception escaping the fiber body is captured on the fiber stack
      * and rethrown here, on the resumer's stack, after the fiber is marked
-     * finished — unwinding across a context switch is undefined behaviour.
+     * finished — an exception cannot unwind across a stack switch.
      */
     void resume();
 
@@ -71,7 +71,7 @@ class Fiber
     static Fiber* current();
 
   private:
-    static void trampoline(unsigned hi, unsigned lo);
+    static void entry();
     void run();
     void switchIn();
     void cancel();
@@ -79,8 +79,10 @@ class Fiber
     std::function<void()> body_;
     std::unique_ptr<char[]> stack_;
     std::size_t stackBytes_;
-    ucontext_t context_;
-    ucontext_t returnContext_;
+    /** Saved stack pointer of the fiber while it is suspended. */
+    void* sp_ = nullptr;
+    /** Saved stack pointer of the resumer while the fiber runs. */
+    void* returnSp_ = nullptr;
     bool started_ = false;
     bool finished_ = false;
     bool cancelling_ = false;
