@@ -15,9 +15,13 @@
 #ifndef PLUS_BENCH_BENCH_UTIL_HPP_
 #define PLUS_BENCH_BENCH_UTIL_HPP_
 
+#include <charconv>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/table.hpp"
@@ -50,6 +54,28 @@ struct HarnessArgs {
     }
 };
 
+/**
+ * Strictly parse the value @p text of the unsigned flag @p flag:
+ * decimal digits only (no sign, space or trailing characters), at
+ * least @p min, and representable in T. Anything else prints usage and
+ * exits 2 — a typo must not silently run some other configuration.
+ */
+template <typename T = unsigned>
+T
+parseUnsignedFlag(std::string_view flag, std::string_view text, T min = 1)
+{
+    T value = 0;
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (text.empty() || ec != std::errc() || ptr != end || value < min) {
+        std::cerr << "usage: " << flag << " takes an integer in [" << min
+                  << ", " << std::numeric_limits<T>::max() << "], not '"
+                  << text << "'\n";
+        std::exit(2);
+    }
+    return value;
+}
+
 /** The process-wide options parseHarnessArgs() fills in. */
 inline HarnessArgs&
 harnessArgs()
@@ -79,7 +105,7 @@ parseHarnessArgs(int argc, char** argv)
             args.profOut = arg.substr(11);
             prof::enable(true);
         } else if (arg.rfind("--nodes=", 0) == 0) {
-            args.nodes = static_cast<unsigned>(std::stoul(arg.substr(8)));
+            args.nodes = parseUnsignedFlag("--nodes", arg.substr(8));
         } else if (arg.rfind("--engine=", 0) == 0) {
             if (!engineFromString(arg.substr(9), args.engine)) {
                 std::cerr << "unknown --engine '" << arg.substr(9)

@@ -264,7 +264,7 @@ main(int argc, char** argv)
     std::vector<KillSpec> kills;
     for (const std::string& arg : args.rest) {
         if (arg.rfind("--seeds=", 0) == 0) {
-            seeds = static_cast<unsigned>(std::stoul(arg.substr(8)));
+            seeds = parseUnsignedFlag("--seeds", arg.substr(8));
         } else if (arg.rfind("--kill-node=", 0) == 0) {
             const std::string spec = arg.substr(12);
             const std::size_t sep = spec.find('@');
@@ -274,8 +274,10 @@ main(int argc, char** argv)
                 return 2;
             }
             KillSpec k;
-            k.node = static_cast<NodeId>(std::stoul(spec.substr(0, sep)));
-            k.at = std::stoull(spec.substr(sep + 1));
+            k.node = parseUnsignedFlag<NodeId>(
+                "--kill-node <id>", spec.substr(0, sep), 0);
+            k.at = parseUnsignedFlag<Cycles>("--kill-node <cycle>",
+                                             spec.substr(sep + 1), 0);
             kills.push_back(k);
         } else {
             std::cerr << "usage: chaos_sweep [--nodes=N] [--seeds=K] "

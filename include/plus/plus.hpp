@@ -192,15 +192,12 @@ class MachineBuilder
 
     /**
      * Coherence protocol (see plus::Protocol and docs/PROTOCOLS.md).
-     * Calling this knob is the explicit opt-in MachineConfig::validate
-     * requires for a non-default protocol; code relying on the implicit
-     * write-update default (deprecated) should name it here instead.
+     * Protocol::Auto honours PLUS_PROTOCOL, defaulting to write-update.
      */
     MachineBuilder&
     protocol(Protocol p)
     {
         config_.protocol = toCoherenceProtocol(p);
-        config_.protocolOptIn = true;
         return *this;
     }
 
@@ -289,8 +286,9 @@ class MachineBuilder
 
     /**
      * Escape hatch for fields without a dedicated knob: mutate the
-     * assembled MachineConfig in place (cost model, network tuning,
-     * check depth, ...).
+     * assembled MachineConfig in place (context-switch cost, cache
+     * geometry, ablation switches, ...). The paper's measured timings
+     * are compile-time constants and cannot be tuned.
      */
     template <typename Fn>
     MachineBuilder&

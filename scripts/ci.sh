@@ -113,13 +113,8 @@ run_tidy() {
 
 run_lint() {
     echo "=== lint: pluslint determinism contract over src/ ==="
-    # compile_commands.json lets the clang frontend (when libclang is
-    # available) parse each TU with its real flags; the token frontend
-    # needs no build at all, so the stage degrades gracefully.
-    if command -v cmake >/dev/null 2>&1; then
-        cmake -B build -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
-            >/dev/null 2>&1 || true
-    fi
+    # pluslint's token frontend reads the sources directly: no build or
+    # compile_commands.json is needed.
     python3 scripts/pluslint.py
     echo "--- linter self-test against tests/lint_corpus"
     python3 tests/lint_corpus/driver.py

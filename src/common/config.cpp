@@ -77,40 +77,26 @@ MachineConfig::validate()
     if (cost.delayedOpEntries == 0) {
         PLUS_FATAL("delayedOpEntries must be positive");
     }
-    if (cost.queueBaseOffset >= kPageWords) {
-        PLUS_FATAL("queueBaseOffset must be within a page");
-    }
     if (cost.cacheLineWords == 0 || cost.cacheWays == 0 ||
         cost.cacheBytes == 0) {
         PLUS_FATAL("cache geometry must be positive");
-    }
-    if (network.bytesPerCycle <= 0.0) {
-        PLUS_FATAL("network bandwidth must be positive");
-    }
-    if (threadStackBytes < 16 * 1024) {
-        PLUS_FATAL("thread stacks of less than 16 KiB are unsafe");
     }
 
     const FaultConfig& fault = network.fault;
     if (!fault.enabled &&
         (fault.dropRate > 0.0 || fault.corruptRate > 0.0 ||
-         fault.duplicateRate > 0.0 || fault.delayRate > 0.0 ||
-         !fault.script.empty())) {
+         fault.duplicateRate > 0.0 || !fault.script.empty())) {
         PLUS_FATAL("fault rates or a fault script are configured but "
                    "network.fault.enabled is false; set it to true (or "
                    "clear the fault settings) — a disabled injector "
                    "would silently ignore them");
     }
     if (fault.dropRate < 0.0 || fault.corruptRate < 0.0 ||
-        fault.duplicateRate < 0.0 || fault.delayRate < 0.0) {
+        fault.duplicateRate < 0.0) {
         PLUS_FATAL("fault rates must be non-negative");
     }
-    if (fault.dropRate + fault.corruptRate + fault.duplicateRate +
-            fault.delayRate > 1.0) {
+    if (fault.dropRate + fault.corruptRate + fault.duplicateRate > 1.0) {
         PLUS_FATAL("fault rates must sum to at most 1");
-    }
-    if (fault.enabled && fault.maxDelayCycles == 0 && fault.delayRate > 0.0) {
-        PLUS_FATAL("delayRate requires maxDelayCycles > 0");
     }
     std::vector<char> crashed(nodes, 0);
     std::size_t crash_count = 0;
@@ -183,14 +169,6 @@ MachineConfig::validate()
             }
         }
     } else {
-        if (!protocolOptIn) {
-            PLUS_FATAL("MachineConfig.protocol overridden to ",
-                       toString(protocol), " without protocolOptIn; use "
-                       "plus::MachineBuilder::protocol() (which opts in "
-                       "for you), or set protocolOptIn = true on the "
-                       "deprecated direct Machine(MachineConfig) path to "
-                       "confirm the override is intended");
-        }
         resolvedProtocol_ = protocol;
     }
     if (resolvedProtocol_ == CoherenceProtocol::WriteInvalidate) {

@@ -79,16 +79,15 @@ struct FaultConfig {
     double dropRate = 0.0;      ///< packet silently lost
     double corruptRate = 0.0;   ///< payload CRC flipped (dropped at receive)
     double duplicateRate = 0.0; ///< packet delivered twice
-    double delayRate = 0.0;     ///< packet held back before injection
 
-    /** Extra delay for delayed packets, uniform in [1, maxDelayCycles]. */
+    /**
+     * Extra delay for packets whose fate is Fate::Delay (forced through
+     * FaultInjector::setFateOverride), uniform in [1, maxDelayCycles].
+     */
     Cycles maxDelayCycles = 200;
 
     /** Scripted link/router kills and revives, applied at their cycle. */
     std::vector<FaultScriptEntry> script;
-
-    /** Retransmit timeout before backoff; 0 = derive from latency model. */
-    Cycles retransmitTimeout = 0;
 
     /**
      * Per-frame retransmit budget; exceeding it panics with the link
@@ -98,7 +97,7 @@ struct FaultConfig {
     unsigned maxRetransmits = 32;
 
     /** Cap on timeout doublings (backoff = timeout << min(n, cap)). */
-    unsigned backoffCap = 6;
+    static constexpr unsigned backoffCap = 6;
 
     /**
      * Arm fail-stop crash recovery (proto::RecoveryManager). When true,
@@ -142,10 +141,10 @@ struct NetworkConfig {
      * round trip between adjacent nodes = 24 cycles, each extra hop
      * adds 4 cycles round trip, i.e. one-way latency = 10 + 2 * hops.
      */
-    Cycles fixedCycles = 10;
+    static constexpr Cycles fixedCycles = 10;
 
     /** One-way latency added per hop, in cycles. */
-    Cycles perHopCycles = 2;
+    static constexpr Cycles perHopCycles = 2;
 
     /**
      * Link bandwidth in bytes per cycle. 20 Mbyte/s per direction at a
@@ -153,20 +152,11 @@ struct NetworkConfig {
      * cut-through: serialization occupies each link but pipelines, so it
      * adds to head latency only once under zero load.
      */
-    double bytesPerCycle = 0.8;
+    static constexpr double bytesPerCycle = 0.8;
+    static_assert(bytesPerCycle > 0.0, "network bandwidth must be positive");
 
     /** Per-message header size in bytes (routing, type, originator, tag). */
-    unsigned headerBytes = 8;
-
-    /**
-     * Per-router input-buffer capacity in packets; 0 = unbounded (the
-     * seed behavior). When finite, a hop whose outgoing link has more
-     * than this many serialization quanta queued stalls in place and
-     * retries — the Section 2.5 "flooded with update requests" effect
-     * becomes visible backpressure (net.backpressureStalls) instead of
-     * an unbounded queue.
-     */
-    unsigned routerBufferPackets = 0;
+    static constexpr unsigned headerBytes = 8;
 
     /** Fault injection + reliable delivery (mesh and ideal networks). */
     FaultConfig fault;
@@ -228,42 +218,40 @@ enum class ProcessorMode {
 const char* toString(ProcessorMode mode);
 
 /**
- * Timing constants. All values are in processor cycles and default to the
- * numbers published in the paper (Sections 3.1 and 5).
+ * Timing constants. All values are in processor cycles. The paper's
+ * measured timings (Sections 3.1 and 5) are fixed constants; the settable
+ * members are the ablation and sensitivity knobs the benches sweep.
  */
 struct CostModel {
-    /** Nanoseconds per cycle in the 1990 implementation (informational). */
-    double nsPerCycle = 40.0;
-
     // --- Processor-side costs -------------------------------------------
 
     /** Issue of a delayed operation ("approximately 25 cycles"). */
-    Cycles procIssueOp = 25;
+    static constexpr Cycles procIssueOp = 25;
 
     /** Reading an available delayed-op result ("about 10 cycles"). */
-    Cycles procReadResult = 10;
+    static constexpr Cycles procReadResult = 10;
 
     /** Processor-side cost to launch a write (non-blocking). */
-    Cycles procIssueWrite = 2;
+    static constexpr Cycles procIssueWrite = 2;
 
     /**
      * Processor-side costs of a blocking remote read. Together with
      * cmServiceReadReq these reproduce the paper's "about 32 cycles plus
      * the round-trip network delay": 8 + 12 + 12 = 32.
      */
-    Cycles procRemoteReadIssue = 8;
-    Cycles procRemoteReadComplete = 12;
+    static constexpr Cycles procRemoteReadIssue = 8;
+    static constexpr Cycles procRemoteReadComplete = 12;
 
     /** Cost of a context switch when ProcessorMode::ContextSwitch. */
     Cycles ctxSwitchCycles = 40;
 
     // --- Processor cache (32 Kbyte write-through, 4-word lines) ---------
 
-    Cycles cacheHit = 1;
+    static constexpr Cycles cacheHit = 1;
     /** Four-word line fetch from local memory ("takes 15 cycles"). */
-    Cycles cacheMissFill = 15;
+    static constexpr Cycles cacheMissFill = 15;
     /** Write-through store to local memory. */
-    Cycles cacheWriteThrough = 2;
+    static constexpr Cycles cacheWriteThrough = 2;
     unsigned cacheLineWords = 4;
     unsigned cacheBytes = 32 * 1024;
     /** Set associativity of the modelled cache. */
@@ -281,27 +269,27 @@ struct CostModel {
     // --- Coherence-manager occupancies ----------------------------------
 
     /** Servicing a remote read request (memory read + reply). */
-    Cycles cmServiceReadReq = 12;
+    static constexpr Cycles cmServiceReadReq = 12;
     /** Performing a write at a copy and forwarding the update. */
-    Cycles cmServiceWrite = 8;
+    static constexpr Cycles cmServiceWrite = 8;
     /** Applying an update at a copy and forwarding it. */
-    Cycles cmServiceUpdate = 8;
+    static constexpr Cycles cmServiceUpdate = 8;
     /** Handling a write acknowledgement. */
-    Cycles cmServiceAck = 2;
+    static constexpr Cycles cmServiceAck = 2;
     /** Simple interlocked ops: xchng, cond-xchng, fadd, f&s, delayed-read. */
-    Cycles cmRmwSimple = 39;
+    static constexpr Cycles cmRmwSimple = 39;
     /** Complex interlocked ops: queue, dequeue, min-xchng. */
-    Cycles cmRmwComplex = 52;
+    static constexpr Cycles cmRmwComplex = 52;
     /** Forwarding a request that must be redirected (e.g. to the master). */
-    Cycles cmForward = 2;
+    static constexpr Cycles cmForward = 2;
     /** Copying one word during background page replication. */
-    Cycles cmPageCopyWord = 4;
+    static constexpr Cycles cmPageCopyWord = 4;
     /**
      * OS exception handler filling a local page-table entry from the
      * centralized table (the lazy evaluation of Section 2.4), and the
      * re-translation performed when a request is nacked.
      */
-    Cycles osPageFillCycles = 100;
+    static constexpr Cycles osPageFillCycles = 100;
 
     // --- Architectural capacities ----------------------------------------
 
@@ -309,13 +297,6 @@ struct CostModel {
     unsigned pendingWriteEntries = 8;
     /** Delayed-operations cache entries ("8 in the current implementation"). */
     unsigned delayedOpEntries = 8;
-
-    /**
-     * Whether a delayed RMW's update chain occupies a pending-write entry
-     * until the chain completes (so fences also drain RMW side effects).
-     * See DESIGN.md "RMW vs fence".
-     */
-    bool rmwOccupiesPendingWrite = true;
 
     /**
      * DASH-style ordering (ablation): every interlocked operation
@@ -331,16 +312,18 @@ struct CostModel {
      * dequeue operations; offsets wrap within [queueBaseOffset,
      * kPageWords). Words below the base hold the tail/head offset words.
      */
-    Addr queueBaseOffset = 2;
+    static constexpr Addr queueBaseOffset = 2;
+    static_assert(queueBaseOffset < kPageWords,
+                  "queueBaseOffset must be within a page");
 
     // --- NACK retry policy (robustness hardening) -----------------------
 
     /**
      * Maximum re-translation retries per nacked request before the
      * coherence manager panics with the event trace (a silent livelock
-     * becomes a diagnosable failure). 0 = unbounded (the seed behavior).
+     * becomes a diagnosable failure).
      */
-    unsigned nackRetryLimit = 64;
+    static constexpr unsigned nackRetryLimit = 64;
 
     /**
      * Extra delay added to the second and later retries of the same
@@ -348,8 +331,8 @@ struct CostModel {
      * first retry keeps the seed's timing so fault-free runs stay
      * byte-identical (migration legitimately nacks once).
      */
-    Cycles nackBackoffBase = 64;
-    unsigned nackBackoffCap = 6;
+    static constexpr Cycles nackBackoffBase = 64;
+    static constexpr unsigned nackBackoffCap = 6;
 };
 
 /**
@@ -365,8 +348,6 @@ struct CheckConfig {
     bool races = false;
     /** Panic at the first detected race instead of recording it. */
     bool panicOnRace = false;
-    /** Events of history to keep for violation reports. */
-    unsigned traceDepth = 64;
 };
 
 /**
@@ -416,15 +397,6 @@ struct MachineConfig {
     /** Coherence-protocol backend (Env = honour PLUS_PROTOCOL). */
     CoherenceProtocol protocol = CoherenceProtocol::Env;
 
-    /**
-     * Explicit acknowledgement that a non-default protocol override is
-     * intended. plus::MachineBuilder::protocol() sets it; the deprecated
-     * direct Machine(MachineConfig) construction path must set it by
-     * hand or validate() rejects the override — configs written before
-     * the protocol field existed cannot silently change meaning.
-     */
-    bool protocolOptIn = false;
-
     NetworkConfig network;
     CostModel cost;
     CheckConfig check;
@@ -435,7 +407,7 @@ struct MachineConfig {
     std::uint64_t seed = 1;
 
     /** Fiber stack size for simulated threads, in bytes. */
-    std::size_t threadStackBytes = 256 * 1024;
+    static constexpr std::size_t threadStackBytes = 256 * 1024;
 
     /**
      * Validate and fill in derived fields (mesh dimensions). Throws

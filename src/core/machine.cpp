@@ -176,7 +176,6 @@ Machine::Machine(MachineConfig config)
         opts.invariants = config_.check.invariants;
         opts.races = config_.check.races;
         opts.panicOnRace = config_.check.panicOnRace;
-        opts.traceDepth = config_.check.traceDepth;
         checker_ = std::make_unique<check::Checker>(opts, &engine_);
         checker_->setCopyListResolver(
             [this](Vpn vpn) -> const mem::CopyList* {
@@ -322,7 +321,7 @@ Machine::diagnosticDump()
        << " thread(s) unfinished";
     const net::NetworkStats& net = network_->stats();
     os << "\nnet: " << net.packets << " delivered, " << net.dropped
-       << " dropped, " << net.backpressureStalls << " backpressure stalls";
+       << " dropped";
     if (const net::FaultInjector* inj = network_->faultInjector()) {
         const net::FaultStats& f = inj->stats();
         os << "\nfaults: " << f.dropped << " dropped, " << f.corrupted
@@ -515,9 +514,6 @@ Machine::registerMetrics()
                              &network_->queueingHistogram());
     metrics_.addCounter("net.dropped",
                         [this] { return network_->stats().dropped; });
-    metrics_.addCounter("net.backpressureStalls", [this] {
-        return network_->stats().backpressureStalls;
-    });
 
     // Fault / reliable-link counters read through the accessors at
     // snapshot time: zero (and zero cost) until enableFaults() ran.
@@ -581,9 +577,8 @@ Machine::registerMetrics()
                                  &recovery_->latencyHistogram());
     }
 
-    // NACK re-translation retries (see CostModel::nackRetryLimit).
-    metrics_.addCounter("proto.nack_retries",
-                        sumCm(&proto::CmStats::retries));
+    // Deepest NACK re-translation retry chain of any single request
+    // (see CostModel::nackRetryLimit); the total is cm.retries.
     metrics_.addGauge("proto.nack_retries.max", [this] {
         std::uint64_t high = 0;
         for (const auto& n : nodes_) {

@@ -53,7 +53,7 @@ FaultInjector::fateFor(const Packet& packet)
             return *forced;
         }
     }
-    // One roll, banded across the four fault probabilities, so a fate
+    // One roll, banded across the three fault probabilities, so a fate
     // schedule depends only on the frame sequence, not the rate split.
     const double roll = laneRng().uniform();
     double band = config_.dropRate;
@@ -70,11 +70,6 @@ FaultInjector::fateFor(const Packet& packet)
     if (roll < band) {
         stats_.duplicated += 1;
         return Fate::Duplicate;
-    }
-    band += config_.delayRate;
-    if (roll < band) {
-        stats_.delayed += 1;
-        return Fate::Delay;
     }
     return Fate::Deliver;
 }

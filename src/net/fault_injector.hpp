@@ -4,13 +4,14 @@
  *
  * The injector sits between Network::send() and hop delivery (see
  * net::LinkLayer): every frame put on the wire asks it for a Fate —
- * deliver, drop, corrupt, duplicate, or delay — rolled from the
- * injector's own seeded xoshiro256** stream, independent of workload
- * randomness, so a fault schedule replays exactly under both engine
- * backends. On top of the probabilistic fates it tracks link and router
- * liveness, mutated by a scripted schedule (FaultScriptEntry) or by
- * tests directly; the mesh consults liveness at every hop so a packet
- * already in flight dies at the killed link, exactly like real hardware.
+ * deliver, drop, corrupt or duplicate — rolled from the injector's own
+ * seeded xoshiro256** stream, independent of workload randomness, so a
+ * fault schedule replays exactly under both engine backends (tests can
+ * force any fate, delay included, through setFateOverride). On top of
+ * the probabilistic fates it tracks link and router liveness, mutated
+ * by a scripted schedule (FaultScriptEntry) or by tests directly; the
+ * mesh consults liveness at every hop so a packet already in flight
+ * dies at the killed link, exactly like real hardware.
  *
  * Everything here is reached only when FaultConfig::enabled armed the
  * subsystem; fault-free runs never construct an injector and pay one

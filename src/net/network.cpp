@@ -231,20 +231,6 @@ MeshNetwork::hop(Transit* transit)
     const Cycles serialization =
         serializationCycles(transit->packet.payloadBytes);
 
-    // Finite router input buffers: when the outgoing link's backlog
-    // exceeds the buffer, the head stalls in place and retries after
-    // one serialization quantum instead of reserving the link — the
-    // Section 2.5 "flooded with update requests" effect as real
-    // backpressure. Off (0) preserves the unbounded seed behavior.
-    if (config_.routerBufferPackets != 0 && link.freeAt > now &&
-        link.freeAt - now >
-            config_.routerBufferPackets * serialization) {
-        stats_.backpressureStalls += 1;
-        transit->queueing += serialization;
-        engine_.schedule(serialization, [this, transit] { hop(transit); });
-        return;
-    }
-
     const Cycles start = std::max(now, link.freeAt);
     const Cycles wait = start - now;
     link.freeAt = start + serialization;

@@ -106,8 +106,6 @@ struct NetworkStats {
     std::uint64_t totalHops = 0;
     /** Packets discarded by the fault layer (any DropReason). */
     std::uint64_t dropped = 0;
-    /** Hop retries forced by a full router input buffer. */
-    std::uint64_t backpressureStalls = 0;
 };
 
 /** Per-node packet sink. */

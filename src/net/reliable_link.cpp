@@ -20,21 +20,17 @@ LinkLayer::LinkLayer(Network& network, sim::Engine& engine,
       recv_(network.topology().nodes()),
       sealed_(network.topology().nodes(), 0)
 {
-    if (config_.retransmitTimeout != 0) {
-        timeout_ = config_.retransmitTimeout;
-    } else {
-        // Derive a timeout that comfortably exceeds a contended round
-        // trip across the diameter of the machine.
-        const Topology& topo = net_.topology();
-        unsigned diameter = 0;
-        for (NodeId a = 0; a < topo.nodes(); ++a) {
-            for (NodeId b = a + 1; b < topo.nodes(); ++b) {
-                diameter = std::max(diameter, topo.distance(a, b));
-            }
+    // Derive a timeout that comfortably exceeds a contended round trip
+    // across the diameter of the machine.
+    const Topology& topo = net_.topology();
+    unsigned diameter = 0;
+    for (NodeId a = 0; a < topo.nodes(); ++a) {
+        for (NodeId b = a + 1; b < topo.nodes(); ++b) {
+            diameter = std::max(diameter, topo.distance(a, b));
         }
-        timeout_ = 16 * net_.zeroLoadLatency(diameter) +
-                   4 * net_.serializationCycles(64);
     }
+    timeout_ = 16 * net_.zeroLoadLatency(diameter) +
+               4 * net_.serializationCycles(64);
 }
 
 Packet

@@ -383,50 +383,45 @@ CoherenceManager::issueRmwUngated(
                                          phys.page.node, /*writeTag=*/0,
                                          /*track=*/false});
             }
-            if (cost_.rmwOccupiesPendingWrite) {
-                pendingWrites_.whenSlotFree(
-                    [this, op, vpn, word_offset, phys, operand, handle,
-                     issued = std::move(issued)]() mutable {
-                        const WriteTag tag =
-                            pendingWrites_.insert(vpn, word_offset);
-                        pendingWrites_.noteHighWater();
-                        if (check_) {
-                            check_->onWriteIssued(self_, tag, vpn,
-                                                  word_offset,
-                                                  /*from_rmw=*/true);
+            // The RMW's update chain occupies a pending-writes entry
+            // until it completes, so a fence also drains RMW side
+            // effects (DESIGN.md "RMW vs fence").
+            pendingWrites_.whenSlotFree(
+                [this, op, vpn, word_offset, phys, operand, handle,
+                 issued = std::move(issued)]() mutable {
+                    const WriteTag tag =
+                        pendingWrites_.insert(vpn, word_offset);
+                    pendingWrites_.noteHighWater();
+                    if (check_) {
+                        check_->onWriteIssued(self_, tag, vpn, word_offset,
+                                              /*from_rmw=*/true);
+                    }
+                    if (recoveryArmed_) {
+                        // The paired pseudo-write: the RMW path owns its
+                        // replay, so mark it fromRmw.
+                        writeMeta_.emplace(
+                            tag, WriteMeta{vpn, word_offset, operand,
+                                           phys.page.node,
+                                           /*fromRmw=*/true});
+                        auto rit = rmwMeta_.find(handle);
+                        if (rit != rmwMeta_.end()) {
+                            rit->second.writeTag = tag;
+                            rit->second.track = true;
                         }
-                        if (recoveryArmed_) {
-                            // The paired pseudo-write: the RMW path owns
-                            // its replay, so mark it fromRmw.
-                            writeMeta_.emplace(
-                                tag, WriteMeta{vpn, word_offset, operand,
-                                               phys.page.node,
-                                               /*fromRmw=*/true});
-                            auto rit = rmwMeta_.find(handle);
-                            if (rit != rmwMeta_.end()) {
-                                rit->second.writeTag = tag;
-                                rit->second.track = true;
-                            }
-                        }
-                        issued(handle);
-                        dispatchRmw(op, vpn, word_offset, phys, operand,
-                                    handle, tag, /*track=*/true);
-                    });
-            } else {
-                issued(handle);
-                dispatchRmw(op, vpn, word_offset, phys, operand, handle,
-                            /*tag=*/0, /*track=*/false);
-            }
+                    }
+                    issued(handle);
+                    dispatchRmw(op, vpn, word_offset, phys, operand, handle,
+                                tag);
+                });
         });
 }
 
 void
 CoherenceManager::dispatchRmw(RmwOp op, Vpn vpn, Addr word_offset,
                               PhysAddr phys, Word operand,
-                              DelayedOpHandle handle, WriteTag tag,
-                              bool track)
+                              DelayedOpHandle handle, WriteTag tag)
 {
-    const auto noteDst = [this, handle, tag, track](NodeId dst) {
+    const auto noteDst = [this, handle, tag](NodeId dst) {
         if (!recoveryArmed_) {
             return;
         }
@@ -434,11 +429,9 @@ CoherenceManager::dispatchRmw(RmwOp op, Vpn vpn, Addr word_offset,
         if (it != rmwMeta_.end()) {
             it->second.dst = dst;
         }
-        if (track) {
-            auto wit = writeMeta_.find(tag);
-            if (wit != writeMeta_.end()) {
-                wit->second.dst = dst;
-            }
+        auto wit = writeMeta_.find(tag);
+        if (wit != writeMeta_.end()) {
+            wit->second.dst = dst;
         }
     };
 
@@ -452,7 +445,6 @@ CoherenceManager::dispatchRmw(RmwOp op, Vpn vpn, Addr word_offset,
         msg->originator = self_;
         msg->opTag = handle;
         msg->writeTag = tag;
-        msg->trackWrite = track;
         send(dst, std::move(msg), RmwReq::kBytes);
     };
 
@@ -477,10 +469,9 @@ CoherenceManager::dispatchRmw(RmwOp op, Vpn vpn, Addr word_offset,
         const Cycles occupancy = isComplexOp(op) ? cost_.cmRmwComplex
                                                  : cost_.cmRmwSimple;
         enqueue(occupancy,
-                [this, op, vpn, frame, word_offset, operand, handle, tag,
-                 track] {
+                [this, op, vpn, frame, word_offset, operand, handle, tag] {
                     rmwAtMaster(op, vpn, frame, word_offset, operand, self_,
-                                handle, tag, track);
+                                handle, tag);
                 });
     } else {
         stats_.remoteRmws += 1;
@@ -492,7 +483,7 @@ void
 CoherenceManager::rmwAtMaster(RmwOp op, Vpn vpn, FrameId frame,
                               Addr word_offset, Word operand,
                               NodeId originator, OpTag op_tag,
-                              WriteTag write_tag, bool track)
+                              WriteTag write_tag)
 {
     PageView view{[this, frame](Addr off) {
         return deps_.memory->read(frame, off);
@@ -519,7 +510,7 @@ CoherenceManager::rmwAtMaster(RmwOp op, Vpn vpn, FrameId frame,
     }
 
     protocol_->propagateRmwEffects(vpn, frame, std::move(writes),
-                                   originator, write_tag, track);
+                                   originator, write_tag);
 }
 
 void
@@ -812,14 +803,13 @@ CoherenceManager::onRmwReq(std::unique_ptr<RmwReq> msg)
             nack->writeTag = m->writeTag;
             nack->value = m->operand;
             nack->op = m->op;
-            nack->trackWrite = m->trackWrite;
             send(m->originator, std::move(nack), Nack::kBytes);
             return;
         }
         if (master_here) {
             rmwAtMaster(m->op, m->vpn, frame, m->target.wordOffset,
                         m->operand, m->originator, m->opTag,
-                        m->writeTag, m->trackWrite);
+                        m->writeTag);
         } else {
             // Forward the request itself; only the target changes.
             const PhysPage master = deps_.tables->master(frame);
@@ -847,7 +837,7 @@ CoherenceManager::noteNackRetry(NackedKind kind, std::uint32_t tag)
     count += 1;
     stats_.nackRetryHighWater =
         std::max<std::uint64_t>(stats_.nackRetryHighWater, count);
-    if (cost_.nackRetryLimit != 0 && count > cost_.nackRetryLimit) {
+    if (count > cost_.nackRetryLimit) {
         PLUS_PANIC("node ", self_, ": nacked ",
                    kind == NackedKind::Read    ? "read"
                    : kind == NackedKind::Write ? "write"
@@ -902,8 +892,9 @@ CoherenceManager::completeNackedAsLost(const Nack& nack)
         retireWrite(nack.writeTag);
         break;
       case NackedKind::Rmw: {
+        // A nacked op was dispatched, so it holds its pending-write slot.
         auto it = rmwMeta_.find(nack.opTag);
-        if (it != rmwMeta_.end() && it->second.track) {
+        if (it != rmwMeta_.end()) {
             if (check_) {
                 check_->onPendingAborted(self_, it->second.writeTag,
                                          /*retried=*/false);
@@ -991,7 +982,7 @@ CoherenceManager::onNack(std::unique_ptr<Nack> msg)
             break;
           case NackedKind::Rmw:
             dispatchRmw(m->op, m->vpn, m->wordOffset, phys, m->value,
-                        m->opTag, m->writeTag, m->trackWrite);
+                        m->opTag, m->writeTag);
             break;
           default:
             PLUS_PANIC("unknown nack kind");
@@ -1095,25 +1086,25 @@ CoherenceManager::recoverAfterCrash(NodeId dead,
 
     std::vector<OpTag> rmws;
     for (const auto& [tag, meta] : rmwMeta_) {
-        if (isLost(meta.vpn) || torn(meta.vpn, meta.dst)) {
+        // An op still waiting for its pending-writes slot has nothing in
+        // flight to tear; it dispatches when the slot frees.
+        if (meta.track && (isLost(meta.vpn) || torn(meta.vpn, meta.dst))) {
             rmws.push_back(tag);
         }
     }
     for (const OpTag tag : rmws) {
         const RmwMeta meta = rmwMeta_.at(tag);
         if (isLost(meta.vpn)) {
-            if (meta.track) {
-                if (check_) {
-                    check_->onPendingAborted(self_, meta.writeTag,
-                                             /*retried=*/false);
-                }
-                retireWrite(meta.writeTag);
+            if (check_) {
+                check_->onPendingAborted(self_, meta.writeTag,
+                                         /*retried=*/false);
             }
+            retireWrite(meta.writeTag);
             completeRmw(tag, kPageLostValue);
             out.lostCompletions += 1;
             continue;
         }
-        if (meta.track && check_) {
+        if (check_) {
             check_->onPendingAborted(self_, meta.writeTag,
                                      /*retried=*/true);
         }
@@ -1125,7 +1116,7 @@ CoherenceManager::recoverAfterCrash(NodeId dead,
         const PhysPage page = translate_(meta.vpn);
         dispatchRmw(meta.op, meta.vpn, meta.wordOffset,
                     PhysAddr{page, meta.wordOffset}, meta.operand, tag,
-                    meta.writeTag, meta.track);
+                    meta.writeTag);
     }
 
     stats_.recoveryAborts += out.abortedReads + out.abortedWrites +

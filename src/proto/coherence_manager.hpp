@@ -360,11 +360,10 @@ class CoherenceManager
                          PhysAddr phys, Word operand,
                          std::function<void(DelayedOpHandle)> issued);
     void dispatchRmw(RmwOp op, Vpn vpn, Addr word_offset, PhysAddr phys,
-                     Word operand, DelayedOpHandle handle, WriteTag tag,
-                     bool track);
+                     Word operand, DelayedOpHandle handle, WriteTag tag);
     void rmwAtMaster(RmwOp op, Vpn vpn, FrameId frame, Addr word_offset,
                      Word operand, NodeId originator, OpTag op_tag,
-                     WriteTag write_tag, bool track);
+                     WriteTag write_tag);
     void completeRmw(OpTag tag, Word old_value);
 
     // Message handlers. Handlers that defer work behind the manager's
@@ -496,8 +495,13 @@ class CoherenceManager
         Word operand = 0;
         /** Master the request was last dispatched to (self_ if local). */
         NodeId dst = kInvalidNode;
-        /** Paired pending-writes tag when tracked. */
+        /** Paired pending-writes tag, once track is set. */
         WriteTag writeTag = 0;
+        /**
+         * Set when the op gets its pending-writes slot and is
+         * dispatched; until then it is only waiting, and the recovery
+         * walk leaves it alone.
+         */
         bool track = false;
     };
 

@@ -194,9 +194,8 @@ struct RmwReq : ProtoMsg {
     Word operand = 0;
     NodeId originator = kInvalidNode;
     OpTag opTag = 0;
-    /** Pending-write tag when RMW chains are fence-tracked. */
+    /** Pending-write tag the RMW's update chain retires. */
     WriteTag writeTag = 0;
-    bool trackWrite = false;
     static constexpr unsigned kBytes = 20;
 };
 
@@ -233,7 +232,6 @@ struct Nack : ProtoMsg {
     OpTag opTag = 0;
     Word value = 0;   ///< write value / rmw operand
     RmwOp op = RmwOp::Xchng;
-    bool trackWrite = false;
     static constexpr unsigned kBytes = 16;
 };
 

@@ -124,20 +124,18 @@ void
 WriteInvalidateProtocol::propagateRmwEffects(Vpn vpn, FrameId frame,
                                              std::vector<WordWrite> writes,
                                              NodeId originator,
-                                             WriteTag write_tag, bool track)
+                                             WriteTag write_tag)
 {
     if (!writes.empty()) {
         noteWriter(vpn, frame, originator);
         if (cm_.deps_.tables->nextCopy(frame) &&
             allInvalidEverywhere(frame, writes)) {
-            if (track) {
-                ackOriginator(originator, write_tag, /*from_rmw=*/true);
-            }
+            ackOriginator(originator, write_tag, /*from_rmw=*/true);
             return;
         }
         launchChain(vpn, frame, std::move(writes), originator, write_tag,
-                    /*from_rmw=*/true, /*need_ack=*/track);
-    } else if (track) {
+                    /*from_rmw=*/true, /*need_ack=*/true);
+    } else {
         // Nothing to propagate: retire the tracked pseudo-write now.
         ackOriginator(originator, write_tag, /*from_rmw=*/true);
     }

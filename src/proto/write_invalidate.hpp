@@ -64,8 +64,8 @@ class WriteInvalidateProtocol final : public Protocol
                        NodeId originator, WriteTag tag) override;
     void propagateRmwEffects(Vpn vpn, FrameId frame,
                              std::vector<WordWrite> writes,
-                             NodeId originator, WriteTag write_tag,
-                             bool track) override;
+                             NodeId originator,
+                             WriteTag write_tag) override;
     void chainStop(std::unique_ptr<UpdateReq> msg) override;
     void chainAckAtMaster(std::uint64_t chain_id) override;
     void serveLocalRead(Vpn vpn, Addr word_offset, FrameId frame,

@@ -28,7 +28,7 @@ void
 WriteUpdateProtocol::propagateRmwEffects(Vpn vpn, FrameId frame,
                                          std::vector<WordWrite> writes,
                                          NodeId originator,
-                                         WriteTag write_tag, bool track)
+                                         WriteTag write_tag)
 {
     if (!writes.empty()) {
         const check::ChainId chain = cm_.nextChainId();
@@ -37,13 +37,13 @@ WriteUpdateProtocol::propagateRmwEffects(Vpn vpn, FrameId frame,
                                        vpn, writes.front().wordOffset,
                                        static_cast<unsigned>(writes.size()),
                                        originator, write_tag,
-                                       /*tracked=*/track,
+                                       /*tracked=*/true,
                                        /*at_master=*/true);
         }
         cm_.continueChain(vpn, chain, frame, std::move(writes), originator,
-                          write_tag, /*from_rmw=*/true, /*need_ack=*/track,
+                          write_tag, /*from_rmw=*/true, /*need_ack=*/true,
                           /*invalidate=*/false);
-    } else if (track) {
+    } else {
         // Nothing to propagate: retire the tracked pseudo-write now.
         if (originator == cm_.self_) {
             cm_.retireWrite(write_tag);

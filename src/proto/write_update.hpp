@@ -34,8 +34,8 @@ class WriteUpdateProtocol final : public Protocol
                        NodeId originator, WriteTag tag) override;
     void propagateRmwEffects(Vpn vpn, FrameId frame,
                              std::vector<WordWrite> writes,
-                             NodeId originator, WriteTag write_tag,
-                             bool track) override;
+                             NodeId originator,
+                             WriteTag write_tag) override;
     void chainStop(std::unique_ptr<UpdateReq> msg) override;
     void serveLocalRead(Vpn vpn, Addr word_offset, FrameId frame,
                         std::function<void(Word)> done) override;

@@ -102,18 +102,8 @@ TEST(Config, RejectsBadSettings)
     }
     {
         MachineConfig cfg;
-        cfg.network.bytesPerCycle = 0.0;
-        EXPECT_THROW(cfg.validate(), FatalError);
-    }
-    {
-        MachineConfig cfg;
         cfg.network.meshWidth = 99;
         cfg.nodes = 4;
-        EXPECT_THROW(cfg.validate(), FatalError);
-    }
-    {
-        MachineConfig cfg;
-        cfg.cost.queueBaseOffset = kPageWords;
         EXPECT_THROW(cfg.validate(), FatalError);
     }
 }

@@ -430,7 +430,7 @@ TEST(MachineFaults, FaultMetricsAreRegistered)
     bool sawLink = false;
     for (const auto& [name, value] : snap.counters) {
         (void)value;
-        if (name == "proto.nack_retries") {
+        if (name == "cm.retries") {
             sawRetries = true;
         }
         if (name == "net.link.retransmits") {

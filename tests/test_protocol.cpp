@@ -46,19 +46,17 @@ invalidateProtocolAt(Machine& m, NodeId node)
 // Builder knob, strings, and MachineConfig::validate()
 // --------------------------------------------------------------------------
 
-TEST(ProtocolConfig, BuilderKnobSetsProtocolAndOptsIn)
+TEST(ProtocolConfig, BuilderKnobSetsProtocol)
 {
     const MachineBuilder b =
         MachineBuilder().nodes(2).protocol(Protocol::WriteInvalidate);
     EXPECT_EQ(b.config().protocol, CoherenceProtocol::WriteInvalidate);
-    EXPECT_TRUE(b.config().protocolOptIn);
 
     const MachineBuilder a = MachineBuilder().protocol(Protocol::Auto);
     EXPECT_EQ(a.config().protocol, CoherenceProtocol::Env);
 
     // No knob: the implicit default stays Env (resolved to write-update).
     EXPECT_EQ(MachineBuilder().config().protocol, CoherenceProtocol::Env);
-    EXPECT_FALSE(MachineBuilder().config().protocolOptIn);
 }
 
 TEST(ProtocolConfig, StringsRoundTrip)
@@ -94,13 +92,10 @@ TEST(ProtocolConfig, EnvOverrideResolvesThroughValidate)
 TEST(ProtocolConfig, ValidateRejectsBadCombinations)
 {
     {
-        // Protocol override on the deprecated direct-config path needs
-        // the explicit opt-in flag.
+        // An explicit protocol on the direct-config path resolves as set.
         MachineConfig cfg;
         cfg.nodes = 2;
         cfg.protocol = CoherenceProtocol::WriteInvalidate;
-        EXPECT_THROW(cfg.validate(), FatalError);
-        cfg.protocolOptIn = true;
         cfg.validate();
         EXPECT_EQ(cfg.resolvedProtocol(),
                   CoherenceProtocol::WriteInvalidate);
@@ -110,7 +105,6 @@ TEST(ProtocolConfig, ValidateRejectsBadCombinations)
         MachineConfig cfg;
         cfg.nodes = 2;
         cfg.protocol = CoherenceProtocol::WriteInvalidate;
-        cfg.protocolOptIn = true;
         cfg.network.fault.enabled = true;
         cfg.network.fault.recover = true;
         EXPECT_THROW(cfg.validate(), FatalError);
@@ -120,7 +114,6 @@ TEST(ProtocolConfig, ValidateRejectsBadCombinations)
         MachineConfig cfg;
         cfg.nodes = 2;
         cfg.protocol = CoherenceProtocol::WriteInvalidate;
-        cfg.protocolOptIn = true;
         cfg.network.fault.enabled = true;
         cfg.network.fault.fencedPageReplicas.push_back({0, 1});
         EXPECT_THROW(cfg.validate(), FatalError);

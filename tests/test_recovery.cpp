@@ -207,6 +207,41 @@ TEST(Recovery, DeadNodePurgedFromCopyListAndSurvivorsConsistent)
     }
 }
 
+TEST(Recovery, RmwWaitingForAPendingWriteSlotExecutesOnce)
+{
+    // Node 0 fills its pending-writes cache with writes whose update
+    // chains die with the doomed replica, then issues an fadd that must
+    // wait for a slot. The recovery walk replays the torn writes; the
+    // waiting fadd has nothing in flight, so it must execute exactly
+    // once, when a replayed write frees its slot.
+    MachineConfig cfg = recoveryConfig();
+    cfg.network.fault.script.front().at = 1;
+    // Only node 0 runs and it blocks on the fadd, so no progress shows
+    // while the retransmit budget toward the dead replica runs out.
+    cfg.watchdog.windowCycles = 1u << 20;
+    Machine m(cfg);
+    const Addr page = m.alloc(kPageBytes, 1);
+    m.replicate(page, kDoomed);
+    m.settle();
+    const Word writes = cfg.cost.pendingWriteEntries;
+    Word old = kPageLostValue;
+    m.spawn(0, [&](Context& ctx) {
+        for (Word i = 1; i <= writes; ++i) {
+            ctx.write(page + 4 * i, i);
+        }
+        old = ctx.fadd(page, 5);
+    });
+    m.run();
+    m.settle();
+
+    ASSERT_EQ(m.recovery()->stats().nodeRecoveries, 1u);
+    EXPECT_EQ(old, 0u);
+    EXPECT_EQ(m.peek(page), 5u) << "the fadd executed more than once";
+    for (Word i = 1; i <= writes; ++i) {
+        EXPECT_EQ(m.peek(page + 4 * i), i);
+    }
+}
+
 TEST(Recovery, MetricsAndPanicSummaryExposeTheEpoch)
 {
     MachineConfig cfg = recoveryConfig();

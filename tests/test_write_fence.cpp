@@ -4,7 +4,8 @@
  * coherence manager to block any subsequent write by the processor,
  * until all its earlier ones have completed" — while the processor
  * itself continues. Reads and computation pass the fence; writes,
- * interlocked issues, and a later blocking fence do not.
+ * interlocked issues, and a later blocking fence do not. A blocking
+ * fence also drains the update chains of delayed interlocked operations.
  */
 
 #include <gtest/gtest.h>
@@ -178,6 +179,34 @@ TEST(WriteFence, BlockingFenceHonoursGatedWrites)
         ctx.write(b, 2); // gated
         ctx.fence();     // must wait for the *gated* write as well
         EXPECT_EQ(ctx.machine().peek(b), 2u);
+    });
+    m.run();
+}
+
+TEST(WriteFence, FenceDrainsADelayedRmwUpdateChain)
+{
+    // A delayed RMW's update chain holds a pending-writes entry until
+    // its acknowledgement returns (DESIGN.md "RMW vs fence"), so a
+    // blocking fence right after the issue returns only once every copy
+    // holds the RMW's effect.
+    MachineConfig cfg = cfgFor(4);
+    cfg.protocol = CoherenceProtocol::WriteUpdate;
+    Machine m(cfg);
+    const Addr page = m.alloc(kPageBytes, 1);
+    m.replicate(page, 2);
+    m.replicate(page, 3);
+    m.settle();
+    ASSERT_EQ(m.copyListOf(page).size(), 3u);
+    m.spawn(0, [&](Context& ctx) {
+        const OpHandle h = ctx.issueFadd(page, 5);
+        ctx.fence();
+        for (const PhysPage& copy : ctx.machine().copyListOf(page).copies()) {
+            EXPECT_EQ(ctx.machine().nodeAt(copy.node).memory().read(
+                          copy.frame, 0),
+                      5u)
+                << "copy on node " << copy.node;
+        }
+        EXPECT_EQ(ctx.verify(h), 0u);
     });
     m.run();
 }
