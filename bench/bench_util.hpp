@@ -5,8 +5,8 @@
  * tables print, and the command-line plumbing every bench accepts:
  *
  *   --nodes=N            machine size (benches with a size knob)
- *   --engine=NAME        auto | wheel | heap
- *   --protocol=NAME      auto | update | invalidate (docs/PROTOCOLS.md)
+ *   --engine=NAME        wheel (default) | heap
+ *   --protocol=NAME      update (default) | invalidate (docs/PROTOCOLS.md)
  *   --trace-out=<file>   Perfetto JSON trace
  *   --stats-out=<file>   metrics + traffic JSON
  *   --prof-out=<file>    host-time profile JSON (enables plus::prof)
@@ -34,8 +34,8 @@ namespace bench {
 /** The harness options common to every bench, parsed from argv. */
 struct HarnessArgs {
     unsigned nodes = 0;           ///< --nodes=N; 0 = bench default
-    Engine engine = Engine::Auto; ///< --engine=NAME
-    Protocol protocol = Protocol::Auto; ///< --protocol=NAME
+    Engine engine = Engine::Wheel; ///< --engine=NAME
+    Protocol protocol = Protocol::WriteUpdate; ///< --protocol=NAME
     std::string traceOut;         ///< --trace-out=<file>
     std::string statsOut;         ///< --stats-out=<file>
     std::string profOut;          ///< --prof-out=<file>
@@ -108,14 +108,15 @@ parseHarnessArgs(int argc, char** argv)
             args.nodes = parseUnsignedFlag("--nodes", arg.substr(8));
         } else if (arg.rfind("--engine=", 0) == 0) {
             if (!engineFromString(arg.substr(9), args.engine)) {
-                std::cerr << "unknown --engine '" << arg.substr(9)
-                          << "' (want auto|wheel|heap)\n";
+                std::cerr << "usage: --engine takes wheel or heap, not '"
+                          << arg.substr(9) << "'\n";
                 std::exit(2);
             }
         } else if (arg.rfind("--protocol=", 0) == 0) {
             if (!protocolFromString(arg.substr(11), args.protocol)) {
-                std::cerr << "unknown --protocol '" << arg.substr(11)
-                          << "' (want auto|update|invalidate)\n";
+                std::cerr << "usage: --protocol takes update or invalidate, "
+                             "not '"
+                          << arg.substr(11) << "'\n";
                 std::exit(2);
             }
         } else {

@@ -290,15 +290,7 @@ main(int argc, char** argv)
     // write-invalidate may hold invalidated words (the same reason
     // MachineConfig::validate rejects invalidate + fault.recover).
     // Report the unsupported combination instead of tripping it.
-    bool invalidate = args.protocol == Protocol::WriteInvalidate;
-    if (args.protocol == Protocol::Auto) {
-        if (const char* name = envRead("PLUS_PROTOCOL")) {
-            Protocol env = Protocol::Auto;
-            invalidate = protocolFromString(name, env) &&
-                         env == Protocol::WriteInvalidate;
-        }
-    }
-    if (!kills.empty() && invalidate) {
+    if (!kills.empty() && args.protocol == Protocol::WriteInvalidate) {
         std::cout << "chaos_sweep: --kill-node is unsupported under the "
                      "write-invalidate protocol (re-mastering would "
                      "promote a replica that may hold invalidated words; "

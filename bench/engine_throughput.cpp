@@ -32,7 +32,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <functional>
@@ -131,7 +130,12 @@ secondsSince(std::chrono::steady_clock::time_point start)
  */
 template <typename EngineT>
 struct MicroBench {
-    explicit MicroBench(std::uint64_t target) : target_(target) {}
+    /** @p engine_args construct the engine (sim::Engine: its backend). */
+    template <typename... EngineArgs>
+    explicit MicroBench(std::uint64_t target, EngineArgs... engine_args)
+        : engine_(engine_args...), target_(target)
+    {
+    }
 
     double eventsPerSec()
     {
@@ -295,18 +299,19 @@ main(int argc, char** argv)
         // Interleave disabled/enabled measurements in one process so
         // frequency scaling and host contention bias both sides the
         // same way; best-of-5 discards the slow outliers.
-        MicroBench<sim::Engine>(micro_events / 8).eventsPerSec();
+        MicroBench<sim::Engine>(micro_events / 8, Engine::Wheel)
+            .eventsPerSec();
         double best_off = 0.0;
         double best_on = 0.0;
         for (int rep = 0; rep < 5; ++rep) {
             prof::enable(false);
             best_off = std::max(
-                best_off,
-                MicroBench<sim::Engine>(micro_events).eventsPerSec());
+                best_off, MicroBench<sim::Engine>(micro_events, Engine::Wheel)
+                              .eventsPerSec());
             prof::enable(true);
             best_on = std::max(
-                best_on,
-                MicroBench<sim::Engine>(micro_events).eventsPerSec());
+                best_on, MicroBench<sim::Engine>(micro_events, Engine::Wheel)
+                             .eventsPerSec());
         }
         prof::enable(false);
         std::ofstream ofs;
@@ -336,13 +341,11 @@ main(int argc, char** argv)
     const double baseline =
         MicroBench<BaselinePq>(micro_events).eventsPerSec();
     const double wheel =
-        MicroBench<sim::Engine>(micro_events).eventsPerSec();
+        MicroBench<sim::Engine>(micro_events, Engine::Wheel).eventsPerSec();
     // The heap reference backend still benefits from Event + the slab;
     // the gap between it and the wheel isolates the data structure.
-    setenv("PLUS_ENGINE", "heap", 1);
     const double heap =
-        MicroBench<sim::Engine>(micro_events).eventsPerSec();
-    setenv("PLUS_ENGINE", "", 1);
+        MicroBench<sim::Engine>(micro_events, Engine::Heap).eventsPerSec();
 
     MacroResult macro_wheel;
     MacroResult macro_heap;

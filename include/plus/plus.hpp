@@ -4,7 +4,7 @@
  *
  * Everything an application, bench or example needs is reachable from
  * this one header: the fluent MachineBuilder, the Machine/Context
- * types it produces, and the backend selector. The builder is a thin,
+ * types it produces, and the backend selectors. The builder is a thin,
  * validated veneer over MachineConfig — every knob maps onto one
  * config field, `tune()` exposes the rest, and `build()` hands the
  * finished config to core::Machine, whose direct
@@ -31,7 +31,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <utility>
 
 #include "common/config.hpp"
@@ -43,111 +42,6 @@ namespace plus {
 /** The simulated machine and the interface threads run against. */
 using Machine = core::Machine;
 using Context = core::Context;
-
-/**
- * Simulation backend. Both backends realise the exact same event
- * order — byte-identical output is the determinism contract, enforced
- * by CI (docs/PERF.md) — so this only selects a performance profile.
- */
-enum class Engine : std::uint8_t {
-    Auto,  ///< honour the PLUS_ENGINE environment variable
-    Wheel, ///< hierarchical timing wheel (the default)
-    Heap,  ///< priority-queue oracle
-};
-
-constexpr const char*
-toString(Engine engine)
-{
-    switch (engine) {
-      case Engine::Auto: return "auto";
-      case Engine::Wheel: return "wheel";
-      case Engine::Heap: return "heap";
-      default: return "?";
-    }
-}
-
-/** Parse "auto" | "wheel" | "heap"; false if unknown. */
-inline bool
-engineFromString(std::string_view name, Engine& out)
-{
-    if (name == "auto") {
-        out = Engine::Auto;
-    } else if (name == "wheel") {
-        out = Engine::Wheel;
-    } else if (name == "heap") {
-        out = Engine::Heap;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-/** The MachineConfig field backing a plus::Engine choice. */
-constexpr SimEngine
-toSimEngine(Engine engine)
-{
-    switch (engine) {
-      case Engine::Wheel: return SimEngine::Wheel;
-      case Engine::Heap: return SimEngine::Heap;
-      case Engine::Auto:
-      default: return SimEngine::Env;
-    }
-}
-
-/**
- * Coherence protocol (docs/PROTOCOLS.md). WriteUpdate is the paper's
- * protocol and the default; WriteInvalidate is the MSI-flavoured
- * counterpart for protocol comparisons. Auto honours the PLUS_PROTOCOL
- * environment variable and falls back to WriteUpdate.
- */
-enum class Protocol : std::uint8_t {
-    Auto,            ///< honour PLUS_PROTOCOL (default: write-update)
-    WriteUpdate,     ///< the paper's non-demand write-update protocol
-    WriteInvalidate, ///< home-pinned MSI-flavoured invalidation protocol
-};
-
-constexpr const char*
-toString(Protocol protocol)
-{
-    switch (protocol) {
-      case Protocol::Auto: return "auto";
-      case Protocol::WriteUpdate: return "write-update";
-      case Protocol::WriteInvalidate: return "write-invalidate";
-      default: return "?";
-    }
-}
-
-/**
- * Parse "auto" | "update" | "write-update" | "invalidate" |
- * "write-invalidate"; false if unknown.
- */
-inline bool
-protocolFromString(std::string_view name, Protocol& out)
-{
-    if (name == "auto") {
-        out = Protocol::Auto;
-    } else if (name == "update" || name == "write-update") {
-        out = Protocol::WriteUpdate;
-    } else if (name == "invalidate" || name == "write-invalidate") {
-        out = Protocol::WriteInvalidate;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-/** The MachineConfig field backing a plus::Protocol choice. */
-constexpr CoherenceProtocol
-toCoherenceProtocol(Protocol protocol)
-{
-    switch (protocol) {
-      case Protocol::WriteUpdate: return CoherenceProtocol::WriteUpdate;
-      case Protocol::WriteInvalidate:
-        return CoherenceProtocol::WriteInvalidate;
-      case Protocol::Auto:
-      default: return CoherenceProtocol::Env;
-    }
-}
 
 /**
  * Fluent machine construction — the one supported way to build a
@@ -186,18 +80,15 @@ class MachineBuilder
     MachineBuilder&
     engine(Engine e)
     {
-        config_.engine = toSimEngine(e);
+        config_.engine = e;
         return *this;
     }
 
-    /**
-     * Coherence protocol (see plus::Protocol and docs/PROTOCOLS.md).
-     * Protocol::Auto honours PLUS_PROTOCOL, defaulting to write-update.
-     */
+    /** Coherence protocol (see plus::Protocol and docs/PROTOCOLS.md). */
     MachineBuilder&
     protocol(Protocol p)
     {
-        config_.protocol = toCoherenceProtocol(p);
+        config_.protocol = p;
         return *this;
     }
 

@@ -121,13 +121,13 @@ Checker::onWriteIssued(NodeId node, std::uint32_t tag, Vpn vpn,
 void
 Checker::onChainApplied(ChainId chain, PhysPage copy, Vpn vpn,
                         Addr word_offset, unsigned words, NodeId originator,
-                        std::uint32_t tag, bool tracked, bool at_master)
+                        std::uint32_t tag, bool at_master)
 {
     trace_.record(makeEvent(EventKind::ChainApplied, copy.node, vpn,
                             word_offset, tag, chain));
     if (invariants_) {
         invariants_->chainApplied(chain, copy, vpn, word_offset, words,
-                                  originator, tag, tracked, at_master);
+                                  originator, tag, at_master);
     }
 }
 

@@ -83,8 +83,7 @@ class Checker final : public Observer
                        Addr word_offset, bool from_rmw) override;
     void onChainApplied(ChainId chain, PhysPage copy, Vpn vpn,
                         Addr word_offset, unsigned words, NodeId originator,
-                        std::uint32_t tag, bool tracked,
-                        bool at_master) override;
+                        std::uint32_t tag, bool at_master) override;
     void onFenceComplete(NodeId node, bool pending_empty) override;
     void onReadServed(NodeId node, Vpn vpn, Addr word_offset) override;
     void onMessageProcessed(NodeId src, NodeId dst,

@@ -82,16 +82,16 @@ class ProtoObserver
      * Chain @p chain applied its effects at @p copy of page @p vpn.
      * @p at_master is the applying manager's own belief that it acted as
      * the chain's head; the checker validates it against the copy-list.
-     * @p tracked says the chain retires a pending-writes entry
-     * (@p originator, @p tag) when its tail acknowledges.
+     * The chain retires the pending-writes entry (@p originator, @p tag)
+     * when its tail acknowledges.
      */
     virtual void
     onChainApplied(ChainId chain, PhysPage copy, Vpn vpn, Addr word_offset,
                    unsigned words, NodeId originator, std::uint32_t tag,
-                   bool tracked, bool at_master)
+                   bool at_master)
     {
         (void)chain; (void)copy; (void)vpn; (void)word_offset; (void)words;
-        (void)originator; (void)tag; (void)tracked; (void)at_master;
+        (void)originator; (void)tag; (void)at_master;
     }
 
     /**
@@ -426,10 +426,10 @@ class TeeObserver final : public Observer
     void
     onChainApplied(ChainId chain, PhysPage copy, Vpn vpn, Addr word_offset,
                    unsigned words, NodeId originator, std::uint32_t tag,
-                   bool tracked, bool at_master) override
+                   bool at_master) override
     {
         tee(&Observer::onChainApplied, chain, copy, vpn, word_offset,
-            words, originator, tag, tracked, at_master);
+            words, originator, tag, at_master);
     }
 
     void

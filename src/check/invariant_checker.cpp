@@ -132,8 +132,7 @@ InvariantChecker::writeIssued(NodeId node, Tag tag, Vpn vpn,
 void
 InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
                                Addr word_offset, unsigned words,
-                               NodeId originator, Tag tag, bool tracked,
-                               bool at_master)
+                               NodeId originator, Tag tag, bool at_master)
 {
     (void)word_offset;
     (void)words;
@@ -141,25 +140,22 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
     const std::uint64_t gen = generation(vpn);
 
     auto markTail = [&](Chain& c) {
-        if (c.tracked) {
-            auto nit = entries_.find(c.originator);
-            auto eit = nit == entries_.end()
-                           ? decltype(nit->second.end()){}
-                           : nit->second.find(c.tag);
-            if (nit == entries_.end() || eit == nit->second.end()) {
-                // An orphaned chain's entry legally retired early: its
-                // write was aborted by crash recovery and completed by
-                // whichever acknowledgement arrived first.
-                if (!c.orphaned) {
-                    violation(concat("chain ", chain,
-                                     " reached the copy-list tail but its "
-                                     "originator n", c.originator,
-                                     " holds no pending entry with tag ",
-                                     c.tag));
-                }
-            } else {
-                eit->second.chainDone = true;
+        auto nit = entries_.find(c.originator);
+        auto eit = nit == entries_.end() ? decltype(nit->second.end()){}
+                                         : nit->second.find(c.tag);
+        if (nit == entries_.end() || eit == nit->second.end()) {
+            // An orphaned chain's entry legally retired early: its write
+            // was aborted by crash recovery and completed by whichever
+            // acknowledgement arrived first.
+            if (!c.orphaned) {
+                violation(concat("chain ", chain,
+                                 " reached the copy-list tail but its "
+                                 "originator n", c.originator,
+                                 " holds no pending entry with tag ",
+                                 c.tag));
             }
+        } else {
+            eit->second.chainDone = true;
         }
         ++chainsCompleted_;
     };
@@ -182,35 +178,26 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
         c.vpn = vpn;
         c.originator = originator;
         c.tag = tag;
-        c.tracked = tracked;
         c.lastCopy = copy;
         c.genAtStart = gen;
         c.visited.push_back(copy);
-        if (tracked) {
-            auto nit = entries_.find(originator);
-            auto eit = nit == entries_.end() ? decltype(nit->second.end()){}
-                                             : nit->second.find(tag);
-            if (nit == entries_.end() || eit == nit->second.end()) {
-                violation(concat("tracked chain ", chain,
-                                 " started for n", originator, " tag ", tag,
-                                 " with no pending-writes entry"));
-            }
-            if (eit->second.chain != 0) {
-                violation(concat("pending entry n", originator, " tag ",
-                                 tag, " re-used by a second chain"));
-            }
-            eit->second.chain = chain;
-            // A re-dispatched (crash-aborted) write may race the old
-            // chain's acknowledgement; its new chain tolerates an
-            // ownerless tail.
-            c.orphaned = eit->second.aborted;
+        auto nit = entries_.find(originator);
+        auto eit = nit == entries_.end() ? decltype(nit->second.end()){}
+                                         : nit->second.find(tag);
+        if (nit == entries_.end() || eit == nit->second.end()) {
+            violation(concat("chain ", chain, " started for n", originator,
+                             " tag ", tag, " with no pending-writes entry"));
         }
-        const bool tail = !list->successorOf(copy).has_value();
-        if (tail) {
+        if (eit->second.chain != 0) {
+            violation(concat("pending entry n", originator, " tag ", tag,
+                             " re-used by a second chain"));
+        }
+        eit->second.chain = chain;
+        // A re-dispatched (crash-aborted) write may race the old chain's
+        // acknowledgement; its new chain tolerates an ownerless tail.
+        c.orphaned = eit->second.aborted;
+        if (!list->successorOf(copy).has_value()) {
             markTail(c);
-            if (!tracked) {
-                return; // fully verified; nothing retires it later
-            }
         }
         chains_.emplace(chain, std::move(c));
         return;
@@ -232,7 +219,7 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
         violation(concat("chain ", chain, " applied twice at copy ",
                          toString(copy)));
     }
-    if (mode_ == ProtocolMode::WriteInvalidate) {
+    if (mode_ == Protocol::WriteInvalidate) {
         // Single-writer: a chain stop at a non-master copy must have
         // invalidated its words (onWordInvalidated precedes this event),
         // never applied the written values.
@@ -273,7 +260,7 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
                       !list->successorOf(copy).has_value();
     if (tail) {
         markTail(c);
-        if ((!c.tracked && strict) || c.orphaned) {
+        if (c.orphaned) {
             chains_.erase(cit);
         }
     }
@@ -347,7 +334,7 @@ InvariantChecker::pendingComplete(NodeId node, Tag tag)
             }
         }
         chains_.erase(entry.chain);
-    } else if (!entry.fromRmw && mode_ != ProtocolMode::WriteInvalidate) {
+    } else if (!entry.fromRmw && mode_ != Protocol::WriteInvalidate) {
         // Write-invalidate legally retires chainless: a write whose words
         // are already invalidated at every copy skips the chain entirely.
         violation(concat("node ", node, " retired write tag ", tag,
@@ -392,7 +379,7 @@ InvariantChecker::readServed(NodeId node, Vpn vpn, Addr word_offset)
 void
 InvariantChecker::wordInvalidated(NodeId node, Vpn vpn, Addr word_offset)
 {
-    if (mode_ == ProtocolMode::WriteUpdate) {
+    if (mode_ == Protocol::WriteUpdate) {
         violation(concat("word invalidation reported for page ", vpn,
                          " word ", word_offset, " at n", node,
                          " under write-update, which never invalidates"));
@@ -403,7 +390,7 @@ InvariantChecker::wordInvalidated(NodeId node, Vpn vpn, Addr word_offset)
 void
 InvariantChecker::wordRevalidated(NodeId node, Vpn vpn, Addr word_offset)
 {
-    if (mode_ == ProtocolMode::WriteUpdate) {
+    if (mode_ == Protocol::WriteUpdate) {
         violation(concat("word revalidation reported for page ", vpn,
                          " word ", word_offset, " at n", node,
                          " under write-update, which never invalidates"));
@@ -421,7 +408,7 @@ InvariantChecker::wordRevalidated(NodeId node, Vpn vpn, Addr word_offset)
 void
 InvariantChecker::localValueServed(NodeId node, Vpn vpn, Addr word_offset)
 {
-    if (mode_ != ProtocolMode::WriteInvalidate) {
+    if (mode_ != Protocol::WriteInvalidate) {
         return; // write-update never invalidates: every local serve is legal
     }
     auto nit = invalidWords_.find(node);

@@ -45,20 +45,11 @@
 
 #include "check/hooks.hpp"
 #include "check/trace.hpp"
+#include "common/config.hpp"
 #include "common/types.hpp"
 
 namespace plus {
 namespace check {
-
-/**
- * Which coherence protocol's invariants to enforce. Mirrors the resolved
- * plus::CoherenceProtocol; kept as a separate enum so check/ stays free
- * of the config layer.
- */
-enum class ProtocolMode : std::uint8_t {
-    WriteUpdate,
-    WriteInvalidate,
-};
 
 /** Checks the protocol ordering invariants; see file comment. */
 class InvariantChecker
@@ -78,9 +69,9 @@ class InvariantChecker
     }
 
     /** Select the invariant set to enforce (default: write-update). */
-    void setProtocol(ProtocolMode mode) { mode_ = mode; }
+    void setProtocol(Protocol mode) { mode_ = mode; }
 
-    ProtocolMode protocol() const { return mode_; }
+    Protocol protocol() const { return mode_; }
 
     /** The OS mutated the copy-list of @p vpn (splice, reorder, ...). */
     void copyListChanged(Vpn vpn);
@@ -110,7 +101,7 @@ class InvariantChecker
     void messageProcessed(NodeId src, NodeId dst, std::uint8_t msg_class);
     void chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
                       Addr word_offset, unsigned words, NodeId originator,
-                      Tag tag, bool tracked, bool at_master);
+                      Tag tag, bool at_master);
     void fenceComplete(NodeId node, bool pending_empty);
     void readServed(NodeId node, Vpn vpn, Addr word_offset);
     void copyListMutated(const mem::CopyList& list, const char* op);
@@ -151,7 +142,6 @@ class InvariantChecker
         Vpn vpn = 0;
         NodeId originator = kInvalidNode;
         Tag tag = 0;
-        bool tracked = false;
         /**
          * The chain belongs to (or overlaps) a crash-recovery epoch:
          * its originator's pending entry may retire before the walk
@@ -181,7 +171,7 @@ class InvariantChecker
     /** Copy-list mutation counters per page. */
     std::unordered_map<Vpn, std::uint64_t> generations_;
 
-    ProtocolMode mode_ = ProtocolMode::WriteUpdate;
+    Protocol mode_ = Protocol::WriteUpdate;
     /**
      * Write-invalidate shadow validity: word offsets currently invalid
      * at each node's copy of each page, maintained purely from the

@@ -26,40 +26,49 @@ toString(ProcessorMode mode)
 }
 
 const char*
-toString(SimEngine engine)
+toString(Engine engine)
 {
     switch (engine) {
-      case SimEngine::Env: return "env";
-      case SimEngine::Wheel: return "wheel";
-      case SimEngine::Heap: return "heap";
-      default: return "?";
-    }
-}
-
-const char*
-toString(CoherenceProtocol protocol)
-{
-    switch (protocol) {
-      case CoherenceProtocol::Env: return "env";
-      case CoherenceProtocol::WriteUpdate: return "write-update";
-      case CoherenceProtocol::WriteInvalidate: return "write-invalidate";
+      case Engine::Wheel: return "wheel";
+      case Engine::Heap: return "heap";
       default: return "?";
     }
 }
 
 bool
-coherenceProtocolFromString(const char* name, CoherenceProtocol& out)
+engineFromString(std::string_view name, Engine& out)
 {
-    const std::string_view s(name);
-    if (s == "update" || s == "write-update") {
-        out = CoherenceProtocol::WriteUpdate;
-        return true;
+    if (name == "wheel") {
+        out = Engine::Wheel;
+    } else if (name == "heap") {
+        out = Engine::Heap;
+    } else {
+        return false;
     }
-    if (s == "invalidate" || s == "write-invalidate") {
-        out = CoherenceProtocol::WriteInvalidate;
-        return true;
+    return true;
+}
+
+const char*
+toString(Protocol protocol)
+{
+    switch (protocol) {
+      case Protocol::WriteUpdate: return "write-update";
+      case Protocol::WriteInvalidate: return "write-invalidate";
+      default: return "?";
     }
-    return false;
+}
+
+bool
+protocolFromString(std::string_view name, Protocol& out)
+{
+    if (name == "update" || name == "write-update") {
+        out = Protocol::WriteUpdate;
+    } else if (name == "invalidate" || name == "write-invalidate") {
+        out = Protocol::WriteInvalidate;
+    } else {
+        return false;
+    }
+    return true;
 }
 
 void
@@ -159,19 +168,7 @@ MachineConfig::validate()
         PLUS_FATAL("watchdog window must be positive");
     }
 
-    if (protocol == CoherenceProtocol::Env) {
-        resolvedProtocol_ = CoherenceProtocol::WriteUpdate;
-        if (const char* name = envRead("PLUS_PROTOCOL")) {
-            if (!coherenceProtocolFromString(name, resolvedProtocol_)) {
-                PLUS_FATAL("PLUS_PROTOCOL=", name, " names no coherence "
-                           "protocol; valid names: update, write-update, "
-                           "invalidate, write-invalidate");
-            }
-        }
-    } else {
-        resolvedProtocol_ = protocol;
-    }
-    if (resolvedProtocol_ == CoherenceProtocol::WriteInvalidate) {
+    if (protocol == Protocol::WriteInvalidate) {
         if (fault.recover) {
             PLUS_FATAL("write-invalidate does not support fail-stop "
                        "recovery: re-mastering would promote a replica "

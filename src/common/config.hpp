@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -163,43 +164,43 @@ struct NetworkConfig {
 };
 
 /**
- * Event-engine backend selection (mirrors sim::EngineImpl without
- * depending on the sim layer). Every backend realises the exact same
- * event order — see docs/PERF.md for the determinism contract.
+ * Event-engine backend. Both backends realise the exact same event
+ * order — byte-identical output is the determinism contract, enforced
+ * by CI (docs/PERF.md) — so this only selects a performance profile.
  */
-enum class SimEngine : std::uint8_t {
-    /** Honour the PLUS_ENGINE environment variable (default: wheel). */
-    Env,
-    /** Serial hierarchical timing wheel (the default backend). */
+enum class Engine {
+    /** Hierarchical timing wheel (the default). */
     Wheel,
-    /** Serial priority-queue oracle. */
+    /** Priority-queue oracle. */
     Heap,
 };
 
-const char* toString(SimEngine engine);
+/** "wheel" | "heap". */
+const char* toString(Engine engine);
+
+/** Parse "wheel" | "heap" into @p out; false if @p name is neither. */
+bool engineFromString(std::string_view name, Engine& out);
 
 /**
- * Coherence-protocol backend selection (mirrors plus::Protocol without
- * depending on the public header). Write-update is the paper's design
- * and the default; write-invalidate is the MSI-style comparison backend.
- * See docs/PROTOCOLS.md.
+ * Coherence protocol (docs/PROTOCOLS.md). WriteUpdate is the paper's
+ * protocol and the default; WriteInvalidate is the MSI-style comparison
+ * backend.
  */
-enum class CoherenceProtocol : std::uint8_t {
-    /** Honour the PLUS_PROTOCOL environment variable (default: update). */
-    Env,
+enum class Protocol {
     /** PLUS's non-demand write-update copy-list protocol (the paper). */
     WriteUpdate,
     /** MSI-style write-invalidate: a write invalidates remote copies. */
     WriteInvalidate,
 };
 
-const char* toString(CoherenceProtocol protocol);
+/** "write-update" | "write-invalidate". */
+const char* toString(Protocol protocol);
 
 /**
- * Parse a protocol name ("update"/"write-update"/"invalidate"/
- * "write-invalidate") into @p out; false if @p name matches none.
+ * Parse "update" | "write-update" | "invalidate" | "write-invalidate"
+ * into @p out; false if @p name matches none.
  */
-bool coherenceProtocolFromString(const char* name, CoherenceProtocol& out);
+bool protocolFromString(std::string_view name, Protocol& out);
 
 /** How the processor hides (or fails to hide) memory/sync latency. */
 enum class ProcessorMode {
@@ -391,11 +392,11 @@ struct MachineConfig {
     /** Processor latency-hiding mode. */
     ProcessorMode mode = ProcessorMode::Delayed;
 
-    /** Event-engine backend (Env = honour PLUS_ENGINE). */
-    SimEngine engine = SimEngine::Env;
+    /** Event-engine backend. */
+    Engine engine = Engine::Wheel;
 
-    /** Coherence-protocol backend (Env = honour PLUS_PROTOCOL). */
-    CoherenceProtocol protocol = CoherenceProtocol::Env;
+    /** Coherence-protocol backend. */
+    Protocol protocol = Protocol::WriteUpdate;
 
     NetworkConfig network;
     CostModel cost;
@@ -419,13 +420,9 @@ struct MachineConfig {
     unsigned meshWidth() const { return resolvedMeshWidth_; }
     unsigned meshHeight() const { return resolvedMeshHeight_; }
 
-    /** Protocol after validate(): explicit, or PLUS_PROTOCOL, or update. */
-    CoherenceProtocol resolvedProtocol() const { return resolvedProtocol_; }
-
   private:
     unsigned resolvedMeshWidth_ = 0;
     unsigned resolvedMeshHeight_ = 0;
-    CoherenceProtocol resolvedProtocol_ = CoherenceProtocol::WriteUpdate;
 };
 
 } // namespace plus

@@ -16,22 +16,6 @@
 namespace plus {
 namespace core {
 
-namespace {
-
-/** Map the config's engine request onto a concrete backend. */
-sim::EngineImpl
-resolveImpl(const MachineConfig& config)
-{
-    switch (config.engine) {
-      case SimEngine::Wheel: return sim::EngineImpl::Wheel;
-      case SimEngine::Heap: return sim::EngineImpl::Heap;
-      case SimEngine::Env:
-      default: return sim::implFromEnv();
-    }
-}
-
-} // namespace
-
 /**
  * Adapter handing proto::RecoveryManager the machine services it needs
  * (directory walks, table rewrites, processor halts) while keeping the
@@ -154,7 +138,7 @@ MachineReport::operator-(const MachineReport& baseline) const
 
 Machine::Machine(MachineConfig config)
     : config_(std::move(config)),
-      engine_(resolveImpl(config_)),
+      engine_(config_.engine),
       topology_(1, 1, 1) // replaced below once the config is validated
 {
     config_.validate();
@@ -183,11 +167,7 @@ Machine::Machine(MachineConfig config)
                                                 : nullptr;
             });
         if (checker_->invariants()) {
-            checker_->invariants()->setProtocol(
-                config_.resolvedProtocol() ==
-                        CoherenceProtocol::WriteInvalidate
-                    ? check::ProtocolMode::WriteInvalidate
-                    : check::ProtocolMode::WriteUpdate);
+            checker_->invariants()->setProtocol(config_.protocol);
         }
     }
 
@@ -293,17 +273,20 @@ Machine::Machine(MachineConfig config)
                         n->processor().stats();
                     p += ps.reads + ps.writes + ps.rmwIssues + ps.fences;
                 }
-                if (recovery_) {
-                    // Crash detection is retransmit-driven: while links
-                    // probe a dead peer nothing retires, but the machine
-                    // is making progress toward the peer-death signal.
-                    if (const net::LinkLayer* link = network_->linkLayer()) {
-                        p += link->stats().retransmits;
-                    }
-                }
                 return p;
             },
-            dumper);
+            dumper,
+            [this] {
+                // Crash detection is retransmit-driven: while links probe
+                // a dead peer nothing retires, and the last backoff gap
+                // can outlast any window. Under a finite budget every
+                // unacked frame reaches a verdict: acked, peer death, or
+                // the link layer's own partition panic.
+                const net::LinkLayer* link = network_->linkLayer();
+                return recovery_ && link != nullptr &&
+                       config_.network.fault.maxRetransmits != 0 &&
+                       link->inFlight() > 0;
+            });
     }
 
     registerMetrics();
@@ -784,7 +767,7 @@ Machine::replicate(Addr addr, NodeId target)
     // mask), and master-as-predecessor keeps batch data and subsequent
     // invalidation chains on one FIFO channel.
     PhysPage anchor = cl.master();
-    if (config_.resolvedProtocol() != CoherenceProtocol::WriteInvalidate) {
+    if (config_.protocol != Protocol::WriteInvalidate) {
         unsigned best_dist = topology_.distance(target, anchor.node);
         for (const PhysPage& copy : cl.copies()) {
             const unsigned d = topology_.distance(target, copy.node);
@@ -938,7 +921,7 @@ Machine::promoteMasterQuiesced(Addr addr, NodeId node)
     // Move the target to the head, keep the remaining order, then
     // rewrite every copy's master/next-copy table entries.
     const PhysPage new_master = *cl.copyOn(node);
-    if (config_.resolvedProtocol() == CoherenceProtocol::WriteInvalidate) {
+    if (config_.protocol == Protocol::WriteInvalidate) {
         // The promoted copy may hold invalidated words the old master
         // never pushed back (invalidate chains carry no values). The
         // machine is quiesced, so sync the full page untimed before the
@@ -989,7 +972,7 @@ Machine::promoteMasterQuiesced(Addr addr, NodeId node)
                                ? std::optional<PhysPage>(order[i + 1])
                                : std::nullopt);
     }
-    if (config_.resolvedProtocol() == CoherenceProtocol::WriteInvalidate) {
+    if (config_.protocol == Protocol::WriteInvalidate) {
         // Full-page sync above revalidated the new master; the old
         // master's invalid-everywhere knowledge is stale topology.
         nodes_[node]->cm().protocol().onMasterPromoted(new_master.frame,

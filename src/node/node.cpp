@@ -27,7 +27,7 @@ Node::Node(NodeId id, const MachineConfig& config, sim::Engine& engine,
     cm_deps.tables = &tables_;
     cm_deps.refCounters = refCounters_.get();
     cm_ = std::make_unique<proto::CoherenceManager>(
-        id, config.cost, cm_deps, config.resolvedProtocol());
+        id, config.cost, cm_deps, config.protocol);
 
     // Node-bus snooping keeps the processor cache coherent with writes
     // performed by the coherence manager.

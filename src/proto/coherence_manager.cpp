@@ -56,7 +56,7 @@ CmStats::totalSent() const
 }
 
 CoherenceManager::CoherenceManager(NodeId self, const CostModel& cost,
-                                   Deps deps, CoherenceProtocol protocol)
+                                   Deps deps, plus::Protocol protocol)
     : self_(self), cost_(cost), deps_(deps),
       protocol_(makeProtocol(protocol, *this)),
       pendingWrites_(cost.pendingWriteEntries),
@@ -285,8 +285,7 @@ void
 CoherenceManager::continueChain(Vpn vpn, check::ChainId chain, FrameId frame,
                                 std::vector<WordWrite> writes,
                                 NodeId originator, WriteTag tag,
-                                bool from_rmw, bool need_ack,
-                                bool invalidate)
+                                bool from_rmw, bool invalidate)
 {
     const std::optional<PhysPage> next = deps_.tables->nextCopy(frame);
     if (next) {
@@ -298,7 +297,6 @@ CoherenceManager::continueChain(Vpn vpn, check::ChainId chain, FrameId frame,
         msg->tag = tag;
         msg->chainId = chain;
         msg->fromRmw = from_rmw;
-        msg->needAck = need_ack;
         msg->invalidate = invalidate;
         const unsigned bytes = msg->bytes();
         send(next->node, std::move(msg), bytes);
@@ -318,9 +316,6 @@ CoherenceManager::continueChain(Vpn vpn, check::ChainId chain, FrameId frame,
             return;
         }
         // Degenerate chain (master with no copies): ack directly below.
-    }
-    if (!need_ack) {
-        return;
     }
     if (originator == self_) {
         retireWrite(tag);

@@ -119,14 +119,9 @@ class CoherenceManager
         mem::RefCounters* refCounters = nullptr; ///< optional
     };
 
-    /**
-     * @p protocol selects the coherence-protocol strategy; it must be a
-     * resolved choice (never CoherenceProtocol::Env — run
-     * MachineConfig::validate, or pass MachineConfig::resolvedProtocol).
-     */
+    /** @p protocol selects the coherence-protocol strategy. */
     CoherenceManager(NodeId self, const CostModel& cost, Deps deps,
-                     CoherenceProtocol protocol =
-                         CoherenceProtocol::WriteUpdate);
+                     plus::Protocol protocol = plus::Protocol::WriteUpdate);
     ~CoherenceManager();
 
     NodeId nodeId() const { return self_; }
@@ -344,8 +339,7 @@ class CoherenceManager
      */
     void continueChain(Vpn vpn, check::ChainId chain, FrameId frame,
                        std::vector<WordWrite> writes, NodeId originator,
-                       WriteTag tag, bool from_rmw, bool need_ack,
-                       bool invalidate);
+                       WriteTag tag, bool from_rmw, bool invalidate);
     void retireWrite(WriteTag tag);
 
     /** Chain identity for a write this master starts propagating. */

@@ -139,8 +139,6 @@ struct UpdateReq : ProtoMsg {
     /** Chain identity assigned by the master (see check::ChainId). */
     std::uint64_t chainId = 0;
     bool fromRmw = false;
-    /** Whether the tail of the chain must acknowledge the originator. */
-    bool needAck = true;
     /**
      * Write-invalidate only: the chain invalidates the named words at
      * each copy instead of applying the carried values (which only the

@@ -53,18 +53,12 @@ Protocol::onMasterDemoted(FrameId frame)
 }
 
 std::unique_ptr<Protocol>
-makeProtocol(CoherenceProtocol kind, CoherenceManager& cm)
+makeProtocol(plus::Protocol kind, CoherenceManager& cm)
 {
-    switch (kind) {
-      case CoherenceProtocol::WriteUpdate:
-        return std::make_unique<WriteUpdateProtocol>(cm);
-      case CoherenceProtocol::WriteInvalidate:
+    if (kind == plus::Protocol::WriteInvalidate) {
         return std::make_unique<WriteInvalidateProtocol>(cm);
-      case CoherenceProtocol::Env:
-      default:
-        PLUS_PANIC("coherence protocol choice not resolved — "
-                   "MachineConfig::validate() must run first");
     }
+    return std::make_unique<WriteUpdateProtocol>(cm);
 }
 
 } // namespace proto

@@ -55,8 +55,8 @@ class Protocol
     Protocol(const Protocol&) = delete;
     Protocol& operator=(const Protocol&) = delete;
 
-    /** Which protocol this is (never CoherenceProtocol::Env). */
-    virtual CoherenceProtocol kind() const = 0;
+    /** Which protocol this is. */
+    virtual plus::Protocol kind() const = 0;
 
     // --- write path -------------------------------------------------------
 
@@ -146,8 +146,8 @@ class Protocol
     CoherenceManager& cm_;
 };
 
-/** Instantiate the protocol strategy for a resolved config choice. */
-std::unique_ptr<Protocol> makeProtocol(CoherenceProtocol kind,
+/** Instantiate the protocol strategy for a config choice. */
+std::unique_ptr<Protocol> makeProtocol(plus::Protocol kind,
                                        CoherenceManager& cm);
 
 } // namespace proto

@@ -71,15 +71,14 @@ void
 WriteInvalidateProtocol::launchChain(Vpn vpn, FrameId frame,
                                      std::vector<WordWrite> writes,
                                      NodeId originator, WriteTag tag,
-                                     bool from_rmw, bool need_ack)
+                                     bool from_rmw)
 {
     const check::ChainId chain = cm_.nextChainId();
     if (cm_.check_) {
         cm_.check_->onChainApplied(chain, PhysPage{cm_.self_, frame}, vpn,
                                    writes.front().wordOffset,
                                    static_cast<unsigned>(writes.size()),
-                                   originator, tag, /*tracked=*/need_ack,
-                                   /*at_master=*/true);
+                                   originator, tag, /*at_master=*/true);
     }
     if (cm_.deps_.tables->nextCopy(frame)) {
         PendingChain pc;
@@ -94,11 +93,10 @@ WriteInvalidateProtocol::launchChain(Vpn vpn, FrameId frame,
         pc.originator = originator;
         pc.tag = tag;
         pc.fromRmw = from_rmw;
-        pc.needAck = need_ack;
         pendingChains_.emplace(chain, std::move(pc));
     }
     cm_.continueChain(vpn, chain, frame, std::move(writes), originator, tag,
-                      from_rmw, need_ack, /*invalidate=*/true);
+                      from_rmw, /*invalidate=*/true);
 }
 
 void
@@ -117,7 +115,7 @@ WriteInvalidateProtocol::writeAtMaster(Vpn vpn, FrameId frame,
         return;
     }
     launchChain(vpn, frame, std::move(writes), originator, tag,
-                /*from_rmw=*/false, /*need_ack=*/true);
+                /*from_rmw=*/false);
 }
 
 void
@@ -134,7 +132,7 @@ WriteInvalidateProtocol::propagateRmwEffects(Vpn vpn, FrameId frame,
             return;
         }
         launchChain(vpn, frame, std::move(writes), originator, write_tag,
-                    /*from_rmw=*/true, /*need_ack=*/true);
+                    /*from_rmw=*/true);
     } else {
         // Nothing to propagate: retire the tracked pseudo-write now.
         ackOriginator(originator, write_tag, /*from_rmw=*/true);
@@ -162,10 +160,10 @@ WriteInvalidateProtocol::chainStop(std::unique_ptr<UpdateReq> msg)
             msg->chainId, msg->target, msg->vpn,
             msg->writes.empty() ? 0 : msg->writes.front().wordOffset,
             static_cast<unsigned>(msg->writes.size()), msg->originator,
-            msg->tag, /*tracked=*/msg->needAck, /*at_master=*/false);
+            msg->tag, /*at_master=*/false);
     }
     cm_.continueChain(msg->vpn, msg->chainId, frame, std::move(msg->writes),
-                      msg->originator, msg->tag, msg->fromRmw, msg->needAck,
+                      msg->originator, msg->tag, msg->fromRmw,
                       /*invalidate=*/true);
 }
 
@@ -188,9 +186,7 @@ WriteInvalidateProtocol::chainAckAtMaster(std::uint64_t chain_id)
             committed.insert(off);
         }
     }
-    if (pc.needAck) {
-        ackOriginator(pc.originator, pc.tag, pc.fromRmw);
-    }
+    ackOriginator(pc.originator, pc.tag, pc.fromRmw);
 }
 
 void

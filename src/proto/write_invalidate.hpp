@@ -54,10 +54,10 @@ class WriteInvalidateProtocol final : public Protocol
   public:
     using Protocol::Protocol;
 
-    CoherenceProtocol
+    plus::Protocol
     kind() const override
     {
-        return CoherenceProtocol::WriteInvalidate;
+        return plus::Protocol::WriteInvalidate;
     }
 
     void writeAtMaster(Vpn vpn, FrameId frame, Addr word_offset, Word value,
@@ -97,7 +97,6 @@ class WriteInvalidateProtocol final : public Protocol
         NodeId originator = kInvalidNode;
         WriteTag tag = 0;
         bool fromRmw = false;
-        bool needAck = false;
     };
 
     /** True if every word in @p writes is committed invalid-everywhere. */
@@ -112,8 +111,7 @@ class WriteInvalidateProtocol final : public Protocol
 
     /** Launch an invalidation chain for applied master writes. */
     void launchChain(Vpn vpn, FrameId frame, std::vector<WordWrite> writes,
-                     NodeId originator, WriteTag tag, bool from_rmw,
-                     bool need_ack);
+                     NodeId originator, WriteTag tag, bool from_rmw);
 
     /** Re-fetch one invalidated word of a local copy from the master. */
     void refetchWord(Vpn vpn, Addr word_offset, FrameId frame,

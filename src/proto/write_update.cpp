@@ -17,11 +17,11 @@ WriteUpdateProtocol::writeAtMaster(Vpn vpn, FrameId frame, Addr word_offset,
     if (cm_.check_) {
         cm_.check_->onChainApplied(chain, PhysPage{cm_.self_, frame}, vpn,
                                    word_offset, 1, originator, tag,
-                                   /*tracked=*/true, /*at_master=*/true);
+                                   /*at_master=*/true);
     }
     cm_.continueChain(vpn, chain, frame, {WordWrite{word_offset, value}},
                       originator, tag, /*from_rmw=*/false,
-                      /*need_ack=*/true, /*invalidate=*/false);
+                      /*invalidate=*/false);
 }
 
 void
@@ -37,11 +37,10 @@ WriteUpdateProtocol::propagateRmwEffects(Vpn vpn, FrameId frame,
                                        vpn, writes.front().wordOffset,
                                        static_cast<unsigned>(writes.size()),
                                        originator, write_tag,
-                                       /*tracked=*/true,
                                        /*at_master=*/true);
         }
         cm_.continueChain(vpn, chain, frame, std::move(writes), originator,
-                          write_tag, /*from_rmw=*/true, /*need_ack=*/true,
+                          write_tag, /*from_rmw=*/true,
                           /*invalidate=*/false);
     } else {
         // Nothing to propagate: retire the tracked pseudo-write now.
@@ -68,11 +67,11 @@ WriteUpdateProtocol::chainStop(std::unique_ptr<UpdateReq> msg)
             msg->chainId, msg->target, msg->vpn,
             msg->writes.empty() ? 0 : msg->writes.front().wordOffset,
             static_cast<unsigned>(msg->writes.size()), msg->originator,
-            msg->tag, /*tracked=*/msg->needAck, /*at_master=*/false);
+            msg->tag, /*at_master=*/false);
     }
     cm_.continueChain(msg->vpn, msg->chainId, frame,
                       std::move(msg->writes), msg->originator, msg->tag,
-                      msg->fromRmw, msg->needAck, /*invalidate=*/false);
+                      msg->fromRmw, /*invalidate=*/false);
 }
 
 void

@@ -24,10 +24,10 @@ class WriteUpdateProtocol final : public Protocol
   public:
     using Protocol::Protocol;
 
-    CoherenceProtocol
+    plus::Protocol
     kind() const override
     {
-        return CoherenceProtocol::WriteUpdate;
+        return plus::Protocol::WriteUpdate;
     }
 
     void writeAtMaster(Vpn vpn, FrameId frame, Addr word_offset, Word value,

@@ -1,31 +1,11 @@
 #include "sim/engine.hpp"
 
-#include <string_view>
-
-#include "common/config.hpp"
 #include "common/log.hpp"
 #include "common/panic.hpp"
 #include "telemetry/prof.hpp"
 
 namespace plus {
 namespace sim {
-
-EngineImpl
-implFromEnv()
-{
-    const char* env = envRead("PLUS_ENGINE");
-    const std::string_view name(env == nullptr ? "" : env);
-    if (name.empty() || name == "wheel") {
-        return EngineImpl::Wheel;
-    }
-    if (name == "heap") {
-        return EngineImpl::Heap;
-    }
-    PLUS_FATAL("PLUS_ENGINE=", name, " names no engine backend; valid "
-               "names: wheel, heap");
-}
-
-Engine::Engine() : Engine(implFromEnv()) {}
 
 Engine::Engine(EngineImpl impl) : impl_(impl)
 {

@@ -13,9 +13,9 @@
  * storage) ordered by a hierarchical timing wheel — O(1) schedule,
  * cancel and dispatch for the short fixed delays that dominate the
  * simulation. The pre-wheel `std::priority_queue` backend is kept
- * behind `PLUS_ENGINE=heap` as a determinism oracle that must execute
- * the exact same event order — CI diffs both byte-for-byte
- * (docs/PERF.md).
+ * behind `Engine::Heap` (MachineBuilder::engine, `--engine=heap`) as a
+ * determinism oracle that must execute the exact same event order — CI
+ * diffs both byte-for-byte (docs/PERF.md).
  *
  * Scheduling contexts and lanes: every event carries a *lane* — the
  * node it executes at, or kMachineLane for machine-level work. The
@@ -34,6 +34,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/config.hpp"
 #include "common/types.hpp"
 #include "sim/event.hpp"
 #include "sim/event_slab.hpp"
@@ -53,16 +54,7 @@ using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
 
 /** Which event-queue backend an Engine runs on. */
-enum class EngineImpl {
-    Wheel, ///< hierarchical timing wheel (default)
-    Heap,  ///< legacy priority queue, kept as a determinism oracle
-};
-
-/**
- * The backend named by PLUS_ENGINE: "wheel" or "heap"; unset or empty
- * means the wheel. Any other value is fatal.
- */
-EngineImpl implFromEnv();
+using EngineImpl = plus::Engine;
 
 /** Counters describing engine health (exported as sim.* metrics). */
 struct EngineStats {
@@ -79,9 +71,7 @@ struct EngineStats {
 class Engine
 {
   public:
-    /** Backend chosen by PLUS_ENGINE ("wheel" | "heap"). */
-    Engine();
-    explicit Engine(EngineImpl impl);
+    explicit Engine(EngineImpl impl = EngineImpl::Wheel);
     ~Engine();
 
     Engine(const Engine&) = delete;

@@ -6,9 +6,9 @@ namespace plus {
 namespace sim {
 
 Watchdog::Watchdog(Engine& engine, Cycles window, ProgressFn progress,
-                   DumpFn dump)
+                   DumpFn dump, VerdictPendingFn verdict_pending)
     : engine_(engine), window_(window), progress_(std::move(progress)),
-      dump_(std::move(dump))
+      dump_(std::move(dump)), verdictPending_(std::move(verdict_pending))
 {
     PLUS_ASSERT(window_ > 0, "watchdog window must be positive");
     PLUS_ASSERT(progress_, "watchdog needs a progress counter");
@@ -49,7 +49,8 @@ Watchdog::check()
         return; // stop() arrived since the last check; go quiet
     }
     const std::uint64_t current = progress_();
-    if (current == lastProgress_) {
+    if (current == lastProgress_ &&
+        !(verdictPending_ && verdictPending_())) {
         if (engine_.pendingEvents() == 0) {
             // The run drained on its own; nothing to watch any more.
             return;

@@ -10,7 +10,10 @@
  * that the counter moved. A full window with no progress while other
  * events are still pending means livelock or deadlock — the watchdog
  * panics with a caller-supplied dump (recent telemetry, the checker's
- * event trace, engine state).
+ * event trace, engine state). An optional verdict-pending predicate
+ * excuses a window without progress while some bounded mechanism still
+ * owes an outcome (core::Machine: the link layer deciding whether an
+ * unresponsive peer has crashed).
  *
  * Disarmed (the default and the state after stop()), the watchdog
  * schedules nothing at all, so it cannot perturb event order or
@@ -45,8 +48,15 @@ class Watchdog
     /** Renders the diagnostic appended to the panic message. */
     using DumpFn = std::function<std::string()>;
 
+    /**
+     * True while a mechanism that is guaranteed to finish in bounded
+     * time still owes a verdict; a window without progress is then not
+     * a stall.
+     */
+    using VerdictPendingFn = std::function<bool()>;
+
     Watchdog(Engine& engine, Cycles window, ProgressFn progress,
-             DumpFn dump);
+             DumpFn dump, VerdictPendingFn verdict_pending = {});
 
     Watchdog(const Watchdog&) = delete;
     Watchdog& operator=(const Watchdog&) = delete;
@@ -82,6 +92,7 @@ class Watchdog
     Cycles window_;
     ProgressFn progress_;
     DumpFn dump_;
+    VerdictPendingFn verdictPending_;
     EventId pending_ = kInvalidEvent;
     bool stopRequested_ = false;
     std::uint64_t lastProgress_ = 0;

@@ -310,10 +310,9 @@ void
 Telemetry::onChainApplied(check::ChainId chain, PhysPage copy, Vpn vpn,
                           Addr word_offset, unsigned words,
                           NodeId originator, std::uint32_t tag,
-                          bool tracked, bool at_master)
+                          bool at_master)
 {
     (void)tag;
-    (void)tracked;
     TraceEvent e;
     e.kind = TraceKind::ChainApply;
     e.cls = at_master ? 1 : 0;

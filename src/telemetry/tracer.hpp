@@ -202,8 +202,7 @@ class Telemetry final : public check::Observer, public check::NetObserver
                        Addr word_offset, bool from_rmw) override;
     void onChainApplied(check::ChainId chain, PhysPage copy, Vpn vpn,
                         Addr word_offset, unsigned words, NodeId originator,
-                        std::uint32_t tag, bool tracked,
-                        bool at_master) override;
+                        std::uint32_t tag, bool at_master) override;
     void onFenceComplete(NodeId node, bool pending_empty) override;
     void onWordInvalidated(NodeId node, Vpn vpn, Addr word_offset) override;
     void onWordRevalidated(NodeId node, Vpn vpn, Addr word_offset) override;

@@ -33,7 +33,7 @@ TEST(Builder, KnobsReachConfig)
     EXPECT_EQ(c.nodes, 8u);
     EXPECT_EQ(c.framesPerNode, 64u);
     EXPECT_EQ(c.mode, ProcessorMode::ContextSwitch);
-    EXPECT_EQ(c.engine, SimEngine::Heap);
+    EXPECT_EQ(c.engine, Engine::Heap);
     EXPECT_EQ(c.seed, 99u);
     EXPECT_EQ(c.network.meshWidth, 4u);
     EXPECT_FALSE(c.check.invariants);
@@ -74,14 +74,16 @@ TEST(Builder, TuneEscapeHatchSeesFullConfig)
 
 TEST(Builder, EngineStringRoundTrip)
 {
-    for (Engine e : {Engine::Auto, Engine::Wheel, Engine::Heap}) {
-        Engine parsed = Engine::Auto;
+    for (Engine e : {Engine::Wheel, Engine::Heap}) {
+        Engine parsed = e == Engine::Wheel ? Engine::Heap : Engine::Wheel;
         EXPECT_TRUE(engineFromString(toString(e), parsed));
         EXPECT_EQ(parsed, e);
     }
-    Engine parsed = Engine::Auto;
-    EXPECT_FALSE(engineFromString("quantum", parsed));
-    EXPECT_FALSE(engineFromString("parallel", parsed));
+    EXPECT_EQ(MachineBuilder().config().engine, Engine::Wheel);
+    Engine parsed = Engine::Wheel;
+    for (const char* bad : {"auto", "env", "", "quantum", "parallel"}) {
+        EXPECT_FALSE(engineFromString(bad, parsed)) << bad;
+    }
 }
 
 TEST(Builder, BuiltMachineMatchesKnobs)

@@ -137,7 +137,6 @@ TEST(CheckSeeded, UpdateBypassingMasterIsDetected)
     msg->originator = 0;
     msg->tag = 7;
     msg->chainId = 12345; // never assigned by any master
-    msg->needAck = false;
     const unsigned bytes = msg->bytes();
 
     net::Packet packet;
@@ -215,7 +214,7 @@ TEST(CheckUnit, ReplicaApplicationWithUnknownChainPanics)
     EXPECT_THROW(c.onChainApplied(/*chain=*/77, PhysPage{1, 4}, /*vpn=*/5,
                                   /*word_offset=*/0, /*words=*/1,
                                   /*originator=*/0, /*tag=*/1,
-                                  /*tracked=*/true, /*at_master=*/false),
+                                  /*at_master=*/false),
                  PanicError);
 }
 

@@ -7,9 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -405,33 +403,6 @@ TEST(Engine, WheelAndHeapBackendsExecuteIdentically)
         return log;
     };
     EXPECT_EQ(run(EngineImpl::Wheel), run(EngineImpl::Heap));
-}
-
-TEST(Engine, EnvSelectsBackendAndRejectsUnknownNames)
-{
-    ::unsetenv("PLUS_ENGINE");
-    EXPECT_EQ(implFromEnv(), EngineImpl::Wheel);
-    ::setenv("PLUS_ENGINE", "", 1); // what engine_throughput restores
-    EXPECT_EQ(implFromEnv(), EngineImpl::Wheel);
-    ::setenv("PLUS_ENGINE", "wheel", 1);
-    EXPECT_EQ(implFromEnv(), EngineImpl::Wheel);
-    ::setenv("PLUS_ENGINE", "heap", 1);
-    EXPECT_EQ(implFromEnv(), EngineImpl::Heap);
-    EXPECT_EQ(Engine().impl(), EngineImpl::Heap);
-
-    // A stale or misspelt name must not quietly run the wheel.
-    for (const char* bad : {"parallel", "Heap", "timewarp"}) {
-        ::setenv("PLUS_ENGINE", bad, 1);
-        try {
-            implFromEnv();
-            ADD_FAILURE() << "PLUS_ENGINE=" << bad << " was accepted";
-        } catch (const FatalError& e) {
-            const std::string what = e.what();
-            EXPECT_NE(what.find(bad), std::string::npos) << what;
-            EXPECT_NE(what.find("wheel, heap"), std::string::npos) << what;
-        }
-    }
-    ::unsetenv("PLUS_ENGINE");
 }
 
 } // namespace

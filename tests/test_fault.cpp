@@ -11,7 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <string>
@@ -309,29 +308,20 @@ INSTANTIATE_TEST_SUITE_P(
 namespace core {
 namespace {
 
-/** Scoped PLUS_ENGINE override for Machine-level tests. */
-struct EngineEnv {
-    explicit EngineEnv(const char* name)
-    {
-        setenv("PLUS_ENGINE", name, 1);
-    }
-    ~EngineEnv() { unsetenv("PLUS_ENGINE"); }
-};
-
 MachineConfig
-faultyConfig()
+faultyConfig(Engine engine = Engine::Wheel)
 {
     MachineConfig cfg;
     cfg.nodes = 4;
+    cfg.engine = engine;
     cfg.network.fault.enabled = true;
     return cfg;
 }
 
 TEST(Watchdog, PermanentPartitionTripsTheWatchdog)
 {
-    for (const char* impl : {"wheel", "heap"}) {
-        EngineEnv env(impl);
-        MachineConfig cfg = faultyConfig();
+    for (const Engine impl : {Engine::Wheel, Engine::Heap}) {
+        MachineConfig cfg = faultyConfig(impl);
         // Retry forever: the hang must be diagnosed by the watchdog,
         // not the link layer's retransmit budget.
         cfg.network.fault.maxRetransmits = 0;
@@ -344,7 +334,8 @@ TEST(Watchdog, PermanentPartitionTripsTheWatchdog)
         m.spawn(1, [&](Context& ctx) { ctx.read(a); });
         try {
             m.run();
-            FAIL() << "expected the watchdog to panic (" << impl << ")";
+            FAIL() << "expected the watchdog to panic (" << toString(impl)
+                   << ")";
         } catch (const PanicError& e) {
             const std::string what = e.what();
             EXPECT_NE(what.find("watchdog"), std::string::npos) << what;
@@ -383,9 +374,8 @@ TEST(MachineFaults, ChaosSmokeFinalMemoryMatchesFaultFree)
     // timing, so any lost / duplicated / misordered protocol message
     // shows up as a wrong count.
     constexpr int kIncrements = 40;
-    for (const char* impl : {"wheel", "heap"}) {
-        EngineEnv env(impl);
-        MachineConfig cfg = faultyConfig();
+    for (const Engine impl : {Engine::Wheel, Engine::Heap}) {
+        MachineConfig cfg = faultyConfig(impl);
         cfg.network.fault.seed = 1234;
         cfg.network.fault.dropRate = 0.02;
         cfg.network.fault.duplicateRate = 0.02;
@@ -406,7 +396,7 @@ TEST(MachineFaults, ChaosSmokeFinalMemoryMatchesFaultFree)
         for (NodeId n = 0; n < 4; ++n) {
             EXPECT_EQ(m.peek(base + 8 * n),
                       static_cast<Word>(kIncrements))
-                << "node " << n << " under " << impl;
+                << "node " << n << " under " << toString(impl);
         }
         const net::FaultStats& f =
             m.network().faultInjector()->stats();

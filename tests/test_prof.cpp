@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -174,7 +173,6 @@ TEST(Prof, WatchdogStallDumpIncludesFlightRecorder)
     // A permanent partition with unlimited retransmits: only the
     // watchdog can diagnose the hang, and with profiling on its panic
     // must carry the per-thread flight recorder.
-    setenv("PLUS_ENGINE", "wheel", 1);
     prof::enable(true);
     prof::reset();
     MachineConfig cfg;
@@ -201,7 +199,6 @@ TEST(Prof, WatchdogStallDumpIncludesFlightRecorder)
         EXPECT_NE(what.find("proc.dispatch"), std::string::npos) << what;
     }
     prof::enable(false);
-    unsetenv("PLUS_ENGINE");
 }
 
 } // namespace

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -38,7 +37,7 @@ proto::WriteInvalidateProtocol&
 invalidateProtocolAt(Machine& m, NodeId node)
 {
     proto::Protocol& p = m.nodeAt(node).cm().protocol();
-    EXPECT_EQ(p.kind(), CoherenceProtocol::WriteInvalidate);
+    EXPECT_EQ(p.kind(), Protocol::WriteInvalidate);
     return static_cast<proto::WriteInvalidateProtocol&>(p);
 }
 
@@ -50,61 +49,53 @@ TEST(ProtocolConfig, BuilderKnobSetsProtocol)
 {
     const MachineBuilder b =
         MachineBuilder().nodes(2).protocol(Protocol::WriteInvalidate);
-    EXPECT_EQ(b.config().protocol, CoherenceProtocol::WriteInvalidate);
+    EXPECT_EQ(b.config().protocol, Protocol::WriteInvalidate);
 
-    const MachineBuilder a = MachineBuilder().protocol(Protocol::Auto);
-    EXPECT_EQ(a.config().protocol, CoherenceProtocol::Env);
-
-    // No knob: the implicit default stays Env (resolved to write-update).
-    EXPECT_EQ(MachineBuilder().config().protocol, CoherenceProtocol::Env);
+    // No knob: the paper's write-update protocol.
+    EXPECT_EQ(MachineBuilder().config().protocol, Protocol::WriteUpdate);
 }
 
 TEST(ProtocolConfig, StringsRoundTrip)
 {
-    Protocol p = Protocol::Auto;
-    EXPECT_TRUE(protocolFromString("update", p));
-    EXPECT_EQ(p, Protocol::WriteUpdate);
-    EXPECT_TRUE(protocolFromString("write-invalidate", p));
-    EXPECT_EQ(p, Protocol::WriteInvalidate);
-    EXPECT_TRUE(protocolFromString("auto", p));
-    EXPECT_EQ(p, Protocol::Auto);
-    EXPECT_FALSE(protocolFromString("mesi", p));
-    EXPECT_STREQ(toString(Protocol::WriteInvalidate), "write-invalidate");
-}
-
-TEST(ProtocolConfig, EnvOverrideResolvesThroughValidate)
-{
-    MachineConfig cfg;
-    cfg.nodes = 2;
-
-    ::setenv("PLUS_PROTOCOL", "invalidate", 1);
-    cfg.validate();
-    EXPECT_EQ(cfg.resolvedProtocol(), CoherenceProtocol::WriteInvalidate);
-
-    ::setenv("PLUS_PROTOCOL", "mosi", 1);
-    EXPECT_THROW(cfg.validate(), FatalError); // unknown protocol name
-
-    ::unsetenv("PLUS_PROTOCOL");
-    cfg.validate();
-    EXPECT_EQ(cfg.resolvedProtocol(), CoherenceProtocol::WriteUpdate);
+    const struct {
+        const char* name;
+        Protocol protocol;
+    } accepted[] = {
+        {"update", Protocol::WriteUpdate},
+        {"write-update", Protocol::WriteUpdate},
+        {"invalidate", Protocol::WriteInvalidate},
+        {"write-invalidate", Protocol::WriteInvalidate},
+    };
+    for (const auto& a : accepted) {
+        Protocol p = a.protocol == Protocol::WriteUpdate
+                         ? Protocol::WriteInvalidate
+                         : Protocol::WriteUpdate;
+        EXPECT_TRUE(protocolFromString(a.name, p)) << a.name;
+        EXPECT_EQ(p, a.protocol) << a.name;
+        EXPECT_TRUE(protocolFromString(toString(p), p)) << a.name;
+        EXPECT_EQ(p, a.protocol) << a.name;
+    }
+    Protocol p = Protocol::WriteUpdate;
+    for (const char* bad : {"auto", "env", "", "mesi"}) {
+        EXPECT_FALSE(protocolFromString(bad, p)) << bad;
+    }
 }
 
 TEST(ProtocolConfig, ValidateRejectsBadCombinations)
 {
     {
-        // An explicit protocol on the direct-config path resolves as set.
+        // An explicit protocol on the direct-config path is accepted.
         MachineConfig cfg;
         cfg.nodes = 2;
-        cfg.protocol = CoherenceProtocol::WriteInvalidate;
+        cfg.protocol = Protocol::WriteInvalidate;
         cfg.validate();
-        EXPECT_EQ(cfg.resolvedProtocol(),
-                  CoherenceProtocol::WriteInvalidate);
+        EXPECT_EQ(cfg.protocol, Protocol::WriteInvalidate);
     }
     {
         // Fail-stop recovery re-masters from possibly-invalid replicas.
         MachineConfig cfg;
         cfg.nodes = 2;
-        cfg.protocol = CoherenceProtocol::WriteInvalidate;
+        cfg.protocol = Protocol::WriteInvalidate;
         cfg.network.fault.enabled = true;
         cfg.network.fault.recover = true;
         EXPECT_THROW(cfg.validate(), FatalError);
@@ -113,7 +104,7 @@ TEST(ProtocolConfig, ValidateRejectsBadCombinations)
         // Fenced-page replica declarations assume update-chain fences.
         MachineConfig cfg;
         cfg.nodes = 2;
-        cfg.protocol = CoherenceProtocol::WriteInvalidate;
+        cfg.protocol = Protocol::WriteInvalidate;
         cfg.network.fault.enabled = true;
         cfg.network.fault.fencedPageReplicas.push_back({0, 1});
         EXPECT_THROW(cfg.validate(), FatalError);
@@ -262,14 +253,14 @@ invariantsOnly()
 TEST(ProtocolChecker, InvalidateHooksAreViolationsUnderUpdate)
 {
     check::Checker c(invariantsOnly(), nullptr);
-    ASSERT_EQ(c.invariants()->protocol(), check::ProtocolMode::WriteUpdate);
+    ASSERT_EQ(c.invariants()->protocol(), Protocol::WriteUpdate);
     EXPECT_THROW(c.onWordInvalidated(0, /*vpn=*/3, /*word=*/5), PanicError);
 }
 
 TEST(ProtocolChecker, StaleLocalReadDetectedUnderInvalidate)
 {
     check::Checker c(invariantsOnly(), nullptr);
-    c.invariants()->setProtocol(check::ProtocolMode::WriteInvalidate);
+    c.invariants()->setProtocol(Protocol::WriteInvalidate);
     c.onWordInvalidated(1, /*vpn=*/3, /*word=*/5);
     // Serving the invalidated word from the local copy is the seeded bug.
     EXPECT_THROW(c.onLocalValueServed(1, 3, 5), PanicError);
@@ -278,7 +269,7 @@ TEST(ProtocolChecker, StaleLocalReadDetectedUnderInvalidate)
 TEST(ProtocolChecker, RevalidatedWordServesCleanly)
 {
     check::Checker c(invariantsOnly(), nullptr);
-    c.invariants()->setProtocol(check::ProtocolMode::WriteInvalidate);
+    c.invariants()->setProtocol(Protocol::WriteInvalidate);
     c.onWordInvalidated(1, /*vpn=*/3, /*word=*/5);
     c.onWordRevalidated(1, 3, 5);
     EXPECT_NO_THROW(c.onLocalValueServed(1, 3, 5));
@@ -299,7 +290,7 @@ TEST(ProtocolChecker, ChainlessRetireLegalOnlyUnderInvalidate)
     }
     {
         check::Checker c(invariantsOnly(), nullptr);
-        c.invariants()->setProtocol(check::ProtocolMode::WriteInvalidate);
+        c.invariants()->setProtocol(Protocol::WriteInvalidate);
         c.onPendingInsert(0, /*tag=*/1, /*vpn=*/2, /*word=*/0);
         c.onWriteIssued(0, /*tag=*/1, /*vpn=*/2, /*word=*/0,
                         /*from_rmw=*/false);
@@ -329,7 +320,6 @@ TEST(ProtocolChecker, InjectedChainAtSharerPanicsUnderInvalidate)
     msg->originator = 0;
     msg->tag = 7;
     msg->chainId = 12345; // never assigned by any master
-    msg->needAck = false;
     msg->invalidate = true;
     const unsigned bytes = msg->bytes();
 

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -54,7 +55,7 @@ constexpr Word kIters = 80;
  * must crash topological corner nodes.
  */
 MachineConfig
-recoveryConfig(SimEngine backend = SimEngine::Wheel)
+recoveryConfig(Engine backend = Engine::Wheel)
 {
     MachineConfig cfg;
     cfg.nodes = 4;
@@ -216,9 +217,6 @@ TEST(Recovery, RmwWaitingForAPendingWriteSlotExecutesOnce)
     // once, when a replayed write frees its slot.
     MachineConfig cfg = recoveryConfig();
     cfg.network.fault.script.front().at = 1;
-    // Only node 0 runs and it blocks on the fadd, so no progress shows
-    // while the retransmit budget toward the dead replica runs out.
-    cfg.watchdog.windowCycles = 1u << 20;
     Machine m(cfg);
     const Addr page = m.alloc(kPageBytes, 1);
     m.replicate(page, kDoomed);
@@ -237,6 +235,43 @@ TEST(Recovery, RmwWaitingForAPendingWriteSlotExecutesOnce)
     ASSERT_EQ(m.recovery()->stats().nodeRecoveries, 1u);
     EXPECT_EQ(old, 0u);
     EXPECT_EQ(m.peek(page), 5u) << "the fadd executed more than once";
+    for (Word i = 1; i <= writes; ++i) {
+        EXPECT_EQ(m.peek(page + 4 * i), i);
+    }
+}
+
+TEST(Recovery, CrashIsDetectedBeforeTheWatchdogFires)
+{
+    // Only node 0 runs, and its last write waits for a pending-writes
+    // slot held by writes whose update chains die with the doomed
+    // replica. Until the link layer gives up on the dead node, no
+    // packet is delivered and no operation retires; the last backoff
+    // gap before that verdict (the adaptive RTO shifted by the attempt
+    // count) is longer than recoveryConfig()'s watchdog window. The
+    // crash is recoverable, so the watchdog must wait for the verdict.
+    MachineConfig cfg = recoveryConfig();
+    cfg.network.fault.script.front().at = 1;
+    Machine m(cfg);
+    const Addr page = m.alloc(kPageBytes, 1);
+    m.replicate(page, kDoomed);
+    m.settle();
+    const Word writes = cfg.cost.pendingWriteEntries + 1;
+    m.spawn(0, [&](Context& ctx) {
+        for (Word i = 1; i <= writes; ++i) {
+            ctx.write(page + 4 * i, i);
+        }
+    });
+    m.run();
+    m.settle();
+
+    const net::LinkLayer* link = m.network().linkLayer();
+    ASSERT_NE(link, nullptr);
+    const unsigned last_shift = std::min(cfg.network.fault.maxRetransmits,
+                                         FaultConfig::backoffCap);
+    EXPECT_GT(link->rto(1) << last_shift, cfg.watchdog.windowCycles)
+        << "the scenario no longer outlasts the watchdog window";
+    ASSERT_EQ(m.recovery()->stats().nodeRecoveries, 1u);
+    EXPECT_EQ(m.watchdog()->stallWindows(), 0u);
     for (Word i = 1; i <= writes; ++i) {
         EXPECT_EQ(m.peek(page + 4 * i), i);
     }
@@ -277,12 +312,12 @@ TEST(Recovery, MetricsAndPanicSummaryExposeTheEpoch)
 
 TEST(Recovery, PostRecoveryImageIsByteIdenticalAcrossBackends)
 {
-    auto runOn = [](SimEngine backend) {
+    auto runOn = [](Engine backend) {
         MachineConfig cfg = recoveryConfig(backend);
         Machine m(cfg);
         return runCrashScenario(m);
     };
-    const Outcome wheel = runOn(SimEngine::Wheel);
+    const Outcome wheel = runOn(Engine::Wheel);
     ASSERT_FALSE(wheel.image.empty());
 
     auto expectIdentical = [&wheel](const Outcome& got, const char* label) {
@@ -299,7 +334,7 @@ TEST(Recovery, PostRecoveryImageIsByteIdenticalAcrossBackends)
         EXPECT_EQ(wheel.rec.lostCompletions, got.rec.lostCompletions)
             << label;
     };
-    expectIdentical(runOn(SimEngine::Heap), "heap");
+    expectIdentical(runOn(Engine::Heap), "heap");
 }
 
 // --- configuration validation -------------------------------------------

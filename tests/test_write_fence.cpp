@@ -190,7 +190,7 @@ TEST(WriteFence, FenceDrainsADelayedRmwUpdateChain)
     // blocking fence right after the issue returns only once every copy
     // holds the RMW's effect.
     MachineConfig cfg = cfgFor(4);
-    cfg.protocol = CoherenceProtocol::WriteUpdate;
+    cfg.protocol = Protocol::WriteUpdate;
     Machine m(cfg);
     const Addr page = m.alloc(kPageBytes, 1);
     m.replicate(page, 2);
