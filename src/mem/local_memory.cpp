@@ -10,11 +10,11 @@ LocalMemory::allocFrame()
     if (!freeList_.empty()) {
         frame = freeList_.back();
         freeList_.pop_back();
-    } else if (nextNever_ < storage_.size()) {
-        frame = nextNever_++;
+    } else if (storage_.size() < capacity_) {
+        frame = static_cast<FrameId>(storage_.size());
+        storage_.emplace_back();
     } else {
-        PLUS_FATAL("node out of physical memory (",
-                   storage_.size(), " frames)");
+        PLUS_FATAL("node out of physical memory (", capacity_, " frames)");
     }
     storage_[frame] = std::make_unique<PageData>(kPageWords, Word{0});
     ++inUse_;

@@ -4,8 +4,8 @@
  * words. The local memory serves both as the node's main memory and as a
  * "cache" for pages whose master copy lives elsewhere (Section 2.3).
  *
- * Frame storage is allocated lazily so large configured memories cost
- * nothing until used.
+ * Frames, and their slots in the frame table, are allocated lazily so a
+ * large configured memory costs nothing until it is used.
  */
 
 #ifndef PLUS_MEM_LOCAL_MEMORY_HPP_
@@ -24,12 +24,9 @@ namespace mem {
 class LocalMemory
 {
   public:
-    explicit LocalMemory(unsigned frames) : storage_(frames) {}
+    explicit LocalMemory(unsigned frames) : capacity_(frames) {}
 
-    unsigned capacityFrames() const
-    {
-        return static_cast<unsigned>(storage_.size());
-    }
+    unsigned capacityFrames() const { return capacity_; }
 
     unsigned framesInUse() const { return inUse_; }
 
@@ -86,9 +83,13 @@ class LocalMemory
         return *storage_[frame];
     }
 
+    /**
+     * One slot per frame ever handed out, indexed by FrameId; frames
+     * are handed out in id order, so it grows by one slot at a time.
+     */
     std::vector<std::unique_ptr<PageData>> storage_;
     std::vector<FrameId> freeList_;
-    FrameId nextNever_ = 0;
+    unsigned capacity_;
     unsigned inUse_ = 0;
 };
 

@@ -133,30 +133,32 @@ IdealNetwork::inject(Packet packet)
 
 MeshNetwork::MeshNetwork(sim::Engine& engine, const Topology& topology,
                          const NetworkConfig& config)
-    : Network(engine, topology, config)
+    : Network(engine, topology, config),
+      links_(static_cast<std::size_t>(topology.nodes()) * kDirections)
 {
-    // Populate every directed adjacent link up front: the map is never
-    // mutated again, so a hop-time lookup is a plain find.
-    for (NodeId from = 0; from < topology.nodes(); ++from) {
-        for (NodeId to = 0; to < topology.nodes(); ++to) {
-            if (from != to && topology.distance(from, to) == 1) {
-                links_.emplace(static_cast<std::uint64_t>(from) *
-                                   topology.nodes() + to,
-                               Link{});
-            }
-        }
-    }
 }
 
 MeshNetwork::Link&
 MeshNetwork::linkBetween(NodeId from, NodeId to)
 {
-    const std::uint64_t key =
-        static_cast<std::uint64_t>(from) * topology_.nodes() + to;
-    const auto it = links_.find(key);
-    PLUS_ASSERT(it != links_.end(), "link between non-adjacent nodes ",
-                from, " and ", to);
-    return it->second;
+    // The direction comes from mesh coordinates, never from id
+    // arithmetic: ids from and from + 1 straddle a row break when from
+    // ends its row, and those routers are not linked.
+    const Coord a = topology_.coordOf(from);
+    const Coord b = topology_.coordOf(to);
+    unsigned dir = kDirections;
+    if (a.y == b.y && b.x == a.x + 1) {
+        dir = 0; // east
+    } else if (a.y == b.y && b.x + 1 == a.x) {
+        dir = 1; // west
+    } else if (a.x == b.x && b.y == a.y + 1) {
+        dir = 2; // south
+    } else if (a.x == b.x && b.y + 1 == a.y) {
+        dir = 3; // north
+    }
+    PLUS_ASSERT(dir < kDirections, "link between non-adjacent nodes ", from,
+                " and ", to);
+    return links_[static_cast<std::size_t>(from) * kDirections + dir];
 }
 
 MeshNetwork::Transit*
@@ -256,9 +258,7 @@ Cycles
 MeshNetwork::maxLinkBusyCycles() const
 {
     Cycles best = 0;
-    // pluslint: allow(R1) -- max over all values; order-independent.
-    for (const auto& [key, link] : links_) {
-        (void)key;
+    for (const Link& link : links_) {
         best = std::max(best, link.busyCycles);
     }
     return best;

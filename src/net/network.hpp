@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "check/hooks.hpp"
@@ -300,8 +299,14 @@ class MeshNetwork : public Network
     Transit* acquireTransit();
     void releaseTransit(Transit* transit);
 
-    /** key = from * nodes + to, adjacent pairs only. */
-    std::unordered_map<std::uint64_t, Link> links_;
+    /** Mesh ports per router: east, west, south, north. */
+    static constexpr unsigned kDirections = 4;
+
+    /**
+     * links_[from * kDirections + direction]; ports that lead off the
+     * mesh stay idle.
+     */
+    std::vector<Link> links_;
     /** Owning transit pool; recycled through freeTransits_. */
     std::vector<std::unique_ptr<Transit>> transits_;
     std::vector<Transit*> freeTransits_;

@@ -23,7 +23,7 @@ Cache::find(std::uint64_t line)
     const unsigned set = static_cast<unsigned>(line % sets_);
     Line* base = &lines_[static_cast<std::size_t>(set) * ways_];
     for (unsigned w = 0; w < ways_; ++w) {
-        if (base[w].valid && base[w].tag == line) {
+        if (base[w].valid() && base[w].tag == line) {
             return &base[w];
         }
     }
@@ -35,20 +35,16 @@ Cache::insert(std::uint64_t line)
 {
     const unsigned set = static_cast<unsigned>(line % sets_);
     Line* base = &lines_[static_cast<std::size_t>(set) * ways_];
+    // The first invalid way if there is one (stamp 0), else the LRU way.
     Line* victim = &base[0];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
-        }
+    for (unsigned w = 1; w < ways_; ++w) {
         if (base[w].lruStamp < victim->lruStamp) {
             victim = &base[w];
         }
     }
-    if (victim->valid) {
+    if (victim->valid()) {
         ++stats_.evictions;
     }
-    victim->valid = true;
     victim->tag = line;
     victim->lruStamp = ++clock_;
 }
@@ -90,7 +86,7 @@ Cache::snoop(FrameId frame, Addr word_offset)
     if (policy_ == SnoopPolicy::Update) {
         ++stats_.snoopUpdates;
     } else {
-        hit->valid = false;
+        hit->lruStamp = 0;
         ++stats_.snoopInvalidates;
     }
 }
@@ -99,7 +95,7 @@ void
 Cache::flush()
 {
     for (Line& line : lines_) {
-        line.valid = false;
+        line.lruStamp = 0;
     }
 }
 

@@ -70,10 +70,16 @@ class Cache
     unsigned ways() const { return ways_; }
 
   private:
+    /**
+     * One way. The clock starts stamps at 1, so a zero stamp marks an
+     * invalid line, which also makes it the least recently used way of
+     * its set.
+     */
     struct Line {
-        bool valid = false;
         std::uint64_t tag = 0;
         std::uint64_t lruStamp = 0;
+
+        bool valid() const { return lruStamp != 0; }
     };
 
     /** Global line number of (frame, word offset). */

@@ -1,5 +1,6 @@
 #include "telemetry/metrics.hpp"
 
+#include <iterator>
 #include <ostream>
 
 #include "common/panic.hpp"
@@ -89,11 +90,14 @@ MetricsRegistry::snapshot(Cycles now) const
         d.min = hist->min();
         d.max = hist->max();
         d.mean = hist->mean();
-        d.p50 = hist->percentile(50.0);
-        d.p90 = hist->percentile(90.0);
-        d.p95 = hist->percentile(95.0);
-        d.p99 = hist->percentile(99.0);
-        d.p999 = hist->percentile(99.9);
+        static constexpr double kRanks[] = {50.0, 90.0, 95.0, 99.0, 99.9};
+        double at[std::size(kRanks)];
+        hist->percentiles(kRanks, at, std::size(kRanks));
+        d.p50 = at[0];
+        d.p90 = at[1];
+        d.p95 = at[2];
+        d.p99 = at[3];
+        d.p999 = at[4];
         snap.distributions.emplace_back(name, d);
     }
     return snap;

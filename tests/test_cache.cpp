@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "node/cache.hpp"
 
 namespace plus {
@@ -119,6 +121,71 @@ TEST(Cache, FlushDropsEverything)
     cache.flush();
     EXPECT_FALSE(cache.accessRead(0, 0));
     EXPECT_FALSE(cache.accessRead(1, 0));
+}
+
+/** 16 lines of 4 words in 4 ways: 4 sets, so lines 0, 4, 8, ... share set 0. */
+CostModel
+fourWayCache()
+{
+    CostModel cost = smallCache();
+    cost.cacheWays = 4;
+    return cost;
+}
+
+/** Word offset in frame 0 of global line @p line. */
+constexpr Addr
+wordOfLine(unsigned line)
+{
+    return static_cast<Addr>(line) * 4;
+}
+
+TEST(Cache, InvalidatedWayRefillsBeforeAnyEviction)
+{
+    Cache cache(fourWayCache(), SnoopPolicy::Invalidate);
+    for (unsigned line : {0u, 4u, 8u, 12u}) {
+        EXPECT_FALSE(cache.accessRead(0, wordOfLine(line)));
+    }
+    cache.snoop(0, wordOfLine(4));
+    EXPECT_FALSE(cache.accessRead(0, wordOfLine(16))); // takes line 4's way
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    for (unsigned line : {0u, 8u, 12u, 16u}) {
+        EXPECT_TRUE(cache.accessRead(0, wordOfLine(line))) << line;
+    }
+    // Full again: the next fill evicts the least recently used, line 0.
+    EXPECT_FALSE(cache.accessRead(0, wordOfLine(20)));
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_FALSE(cache.accessRead(0, wordOfLine(0)));
+    EXPECT_EQ(cache.stats().evictions, 2u);
+    EXPECT_EQ(cache.stats().snoopInvalidates, 1u);
+}
+
+TEST(Cache, ScriptedSequenceCountsHitsMissesEvictions)
+{
+    Cache cache(fourWayCache());
+    // Set 0 sees five distinct lines through four ways; set 1 sees one.
+    const unsigned script[] = {0, 4, 8, 12, 0, 16, 4, 1, 1, 8, 12, 0};
+    const bool hit[] = {false, false, false, false, true, false,
+                        false, false, true,  false, false, false};
+    for (std::size_t i = 0; i < std::size(script); ++i) {
+        EXPECT_EQ(cache.accessRead(0, wordOfLine(script[i])), hit[i])
+            << "access " << i << " to line " << script[i];
+    }
+    EXPECT_EQ(cache.stats().hits, 2u);
+    EXPECT_EQ(cache.stats().misses, 10u);
+    EXPECT_EQ(cache.stats().evictions, 5u);
+}
+
+TEST(Cache, FlushedWaysRefillWithoutEvictions)
+{
+    Cache cache(fourWayCache());
+    for (unsigned line : {0u, 4u, 8u, 12u}) {
+        cache.accessRead(0, wordOfLine(line));
+    }
+    cache.flush();
+    for (unsigned line : {16u, 20u, 24u, 28u}) {
+        EXPECT_FALSE(cache.accessRead(0, wordOfLine(line)));
+    }
+    EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 TEST(Cache, PaperGeometry)

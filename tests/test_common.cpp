@@ -7,7 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/panic.hpp"
@@ -311,6 +319,228 @@ TEST(Histogram, ClearResetsExtremaForReuse)
     EXPECT_EQ(h.min(), 5.0);
     EXPECT_EQ(h.max(), 5.0);
     EXPECT_DOUBLE_EQ(h.sum(), 5.0);
+}
+
+// --- Histogram against a sorted-sample reference ----------------------------
+
+/**
+ * Reference that keeps every sample: count, sum, min and max accumulated
+ * per record, percentiles by nearest rank over the sorted samples, merge
+ * by recording the other side's samples again.
+ */
+class SortedReference
+{
+  public:
+    void
+    record(double v)
+    {
+        samples_.push_back(v);
+        sum_ += v;
+        min_ = std::min(min_, v);
+        max_ = std::max(max_, v);
+    }
+
+    void
+    merge(const SortedReference& other)
+    {
+        for (double v : other.samples_) {
+            record(v);
+        }
+    }
+
+    std::uint64_t count() const { return samples_.size(); }
+    double sum() const { return sum_; }
+    double min() const { return count() ? min_ : 0.0; }
+    double max() const { return count() ? max_ : 0.0; }
+    double mean() const { return count() ? sum_ / count() : 0.0; }
+
+    double
+    percentile(double p) const
+    {
+        if (samples_.empty()) {
+            return 0.0;
+        }
+        std::vector<double> sorted = samples_;
+        std::sort(sorted.begin(), sorted.end());
+        const auto n = sorted.size();
+        const auto rank = static_cast<std::size_t>(p / 100.0 * (n - 1) + 0.5);
+        return sorted[std::min(rank, n - 1)];
+    }
+
+  private:
+    std::vector<double> samples_;
+    double sum_ = 0.0;
+    double min_ = std::numeric_limits<double>::infinity();
+    double max_ = -std::numeric_limits<double>::infinity();
+};
+
+/** Every percentile the metrics registry reports, plus both ends. */
+constexpr double kReportedRanks[] = {0.0, 50.0, 90.0, 95.0, 99.0, 99.9, 100.0};
+
+/** Bit-for-bit equality, so that 0.0 and -0.0 are told apart. */
+::testing::AssertionResult
+sameBits(double got, double want)
+{
+    if (std::bit_cast<std::uint64_t>(got) ==
+        std::bit_cast<std::uint64_t>(want)) {
+        return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure() << got << " != " << want;
+}
+
+void
+expectMatches(const Histogram& h, const SortedReference& ref)
+{
+    EXPECT_EQ(h.count(), ref.count());
+    EXPECT_TRUE(sameBits(h.sum(), ref.sum()));
+    EXPECT_TRUE(sameBits(h.min(), ref.min()));
+    EXPECT_TRUE(sameBits(h.max(), ref.max()));
+    EXPECT_TRUE(sameBits(h.mean(), ref.mean()));
+    double batch[std::size(kReportedRanks)];
+    h.percentiles(kReportedRanks, batch, std::size(kReportedRanks));
+    for (std::size_t i = 0; i < std::size(kReportedRanks); ++i) {
+        const double p = kReportedRanks[i];
+        EXPECT_TRUE(sameBits(h.percentile(p), ref.percentile(p))) << "p" << p;
+        EXPECT_TRUE(sameBits(batch[i], ref.percentile(p))) << "batch p" << p;
+    }
+}
+
+/** Kinds of value a trial draws from. */
+enum class ValueKind {
+    DenseInteger,  ///< small non-negative integer, counted densely
+    LargeInteger,  ///< integer at or past the dense range's edge
+    Fraction,      ///< arbitrary non-integer
+    QuarterStep,   ///< multiple of 0.25: sums stay exact in any order
+    Negative,      ///< negative integer or fraction
+    Repeat,        ///< one of three values drawn over and over
+};
+
+double
+draw(Xoshiro256& rng, ValueKind kind)
+{
+    constexpr auto kEdge = static_cast<std::uint64_t>(Histogram::kDenseLimit);
+    switch (kind) {
+    case ValueKind::DenseInteger:
+        return static_cast<double>(rng.below(2000));
+    case ValueKind::LargeInteger:
+        return static_cast<double>(rng.range(kEdge - 3, 4 * kEdge));
+    case ValueKind::Fraction:
+        return rng.uniform() * 1000.0;
+    case ValueKind::QuarterStep:
+        return static_cast<double>(rng.below(4000)) * 0.25;
+    case ValueKind::Negative:
+        return rng.chance(0.5) ? -static_cast<double>(rng.range(1, 500))
+                               : -rng.uniform() * 500.0;
+    case ValueKind::Repeat:
+        return std::array<double, 3>{3.0, 40.5, 70000.0}[rng.below(3)];
+    }
+    return 0.0;
+}
+
+/**
+ * A random, non-empty subset of the kinds; with @p exact_sums, only the
+ * kinds whose sums come out the same in any order of addition.
+ */
+std::vector<ValueKind>
+kindsFor(Xoshiro256& rng, bool exact_sums)
+{
+    std::vector<ValueKind> kinds;
+    for (ValueKind k : {ValueKind::DenseInteger, ValueKind::LargeInteger,
+                        ValueKind::Fraction, ValueKind::QuarterStep,
+                        ValueKind::Negative, ValueKind::Repeat}) {
+        // Merges add sums as totals, so their trials keep to values
+        // whose sums are exact whatever the order of addition.
+        const bool inexact =
+            k == ValueKind::Fraction || k == ValueKind::Negative;
+        if ((!exact_sums || !inexact) && rng.chance(0.5)) {
+            kinds.push_back(k);
+        }
+    }
+    if (kinds.empty()) {
+        kinds.push_back(ValueKind::DenseInteger);
+    }
+    return kinds;
+}
+
+void
+fill(Xoshiro256& rng, const std::vector<ValueKind>& kinds, std::size_t n,
+     Histogram& h, SortedReference& ref)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        const double v = draw(rng, kinds[rng.below(kinds.size())]);
+        h.record(v);
+        ref.record(v);
+    }
+}
+
+TEST(Histogram, MatchesSortedReferenceOnSeededMixes)
+{
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Xoshiro256 rng(seed);
+        const auto kinds = kindsFor(rng, false);
+        Histogram h;
+        SortedReference ref;
+        // Some trials stay empty; most see a few hundred samples.
+        fill(rng, kinds, rng.below(6) == 0 ? 0 : rng.range(1, 600), h, ref);
+        expectMatches(h, ref);
+    }
+}
+
+TEST(Histogram, MergeMatchesSortedReferenceBothWays)
+{
+    for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Xoshiro256 rng(seed * 7919);
+        const auto kinds = kindsFor(rng, true);
+        Histogram a;
+        Histogram b;
+        SortedReference refA;
+        SortedReference refB;
+        fill(rng, kinds, rng.below(4) == 0 ? 0 : rng.range(1, 300), a, refA);
+        fill(rng, kinds, rng.below(4) == 0 ? 0 : rng.range(1, 300), b, refB);
+
+        Histogram ab = a;
+        SortedReference refAb = refA;
+        ab.merge(b);
+        refAb.merge(refB);
+        expectMatches(ab, refAb);
+
+        Histogram ba = b;
+        SortedReference refBa = refB;
+        ba.merge(a);
+        refBa.merge(refA);
+        expectMatches(ba, refBa);
+    }
+}
+
+TEST(Histogram, ClearThenRefillMatchesSortedReference)
+{
+    Xoshiro256 rng(42);
+    const std::vector<ValueKind> all = {
+        ValueKind::DenseInteger, ValueKind::LargeInteger,
+        ValueKind::Fraction,     ValueKind::QuarterStep,
+        ValueKind::Negative,     ValueKind::Repeat};
+    Histogram h;
+    SortedReference first;
+    fill(rng, all, 500, h, first);
+    h.clear();
+    expectMatches(h, SortedReference{});
+    SortedReference second;
+    fill(rng, {ValueKind::DenseInteger}, 50, h, second);
+    expectMatches(h, second);
+}
+
+TEST(Histogram, NegativeZeroKeepsItsSign)
+{
+    Histogram h;
+    SortedReference ref;
+    for (double v : {-0.0, -0.0, 1.0}) {
+        h.record(v);
+        ref.record(v);
+    }
+    expectMatches(h, ref);
+    EXPECT_TRUE(std::signbit(h.percentile(0)));
 }
 
 // --- TablePrinter ---------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/config.hpp"
 #include "mem/coherence_tables.hpp"
 #include "mem/copy_list.hpp"
 #include "mem/local_memory.hpp"
@@ -95,6 +96,39 @@ TEST(LocalMemory, TracksUsage)
     memory.freeFrame(f);
     EXPECT_EQ(memory.framesInUse(), 1u);
     EXPECT_EQ(memory.capacityFrames(), 8u);
+}
+
+TEST(LocalMemory, FreshFramesInIdOrderThenLifoReuse)
+{
+    LocalMemory memory(6);
+    for (FrameId f = 0; f < 4; ++f) {
+        EXPECT_EQ(memory.allocFrame(), f);
+    }
+    memory.freeFrame(1);
+    memory.freeFrame(3);
+    EXPECT_EQ(memory.allocFrame(), 3u); // last freed, first reused
+    EXPECT_EQ(memory.allocFrame(), 1u);
+    EXPECT_EQ(memory.allocFrame(), 4u); // then fresh frames again
+    EXPECT_EQ(memory.allocFrame(), 5u);
+    EXPECT_EQ(memory.framesInUse(), 6u);
+    EXPECT_FALSE(memory.allocated(6));
+    EXPECT_FALSE(memory.allocated(1000));
+}
+
+TEST(LocalMemory, FatalExactlyAtConfiguredFrames)
+{
+    const unsigned frames = MachineConfig{}.framesPerNode;
+    LocalMemory memory(frames);
+    EXPECT_EQ(memory.capacityFrames(), frames);
+    for (unsigned i = 0; i < frames; ++i) {
+        ASSERT_EQ(memory.allocFrame(), i);
+    }
+    EXPECT_EQ(memory.capacityFrames(), frames);
+    EXPECT_THROW(memory.allocFrame(), FatalError);
+    EXPECT_EQ(memory.framesInUse(), frames);
+    memory.freeFrame(7);
+    EXPECT_EQ(memory.allocFrame(), 7u);
+    EXPECT_THROW(memory.allocFrame(), FatalError);
 }
 
 // --- CopyList ---------------------------------------------------------------

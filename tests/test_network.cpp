@@ -189,6 +189,75 @@ TEST_F(NetworkTest, MaxLinkBusyTracksHotLink)
     EXPECT_EQ(mesh->maxLinkBusyCycles(), 10 * 20u);
 }
 
+TEST_F(NetworkTest, EachPortOfARouterIsItsOwnLink)
+{
+    build(false);
+    // Node 5 sits inside the 4x4 mesh: east, west, south and north
+    // sends leave at once, and each neighbour answers at once.
+    for (NodeId peer : {6u, 4u, 9u, 1u}) {
+        send(5, peer, 8);
+        send(peer, 5, 8);
+    }
+    engine_.run();
+    ASSERT_EQ(log_.size(), 8u);
+    for (const Delivery& d : log_) {
+        EXPECT_EQ(d.at, 12u) << "delivery to " << d.dst;
+    }
+    EXPECT_EQ(network_->queueingHistogram().max(), 0.0);
+}
+
+TEST_F(NetworkTest, RowBreakIsNotALink)
+{
+    build(false, 8, 4);
+    // Ids 3 and 4 are consecutive but sit at (3,0) and (0,1): the
+    // packet walks the mesh, four hops.
+    send(3, 4);
+    engine_.run();
+    ASSERT_EQ(log_.size(), 1u);
+    EXPECT_EQ(log_[0].at, 10u + 2 * 4);
+    EXPECT_EQ(network_->stats().totalHops, 4u);
+}
+
+TEST_F(NetworkTest, PartialLastRowLinksOnlyExistingNodes)
+{
+    // Six nodes on a 4-wide mesh: row 1 holds only nodes 4 and 5.
+    build(false, 6, 4);
+    send(5, 4); // west
+    send(4, 0); // north
+    // East to 5, where (2,1) is off the mesh: north to 1, then east to
+    // 2 and 3.
+    send(4, 3);
+    engine_.run();
+    ASSERT_EQ(log_.size(), 3u);
+    EXPECT_EQ(log_[0].at, 12u);
+    EXPECT_EQ(log_[1].at, 12u);
+    EXPECT_EQ(log_[2].at, 10u + 2 * 4);
+    EXPECT_EQ(network_->queueingHistogram().max(), 0.0);
+}
+
+TEST_F(NetworkTest, SingleColumnMeshLinksVertically)
+{
+    build(false, 4, 1);
+    send(0, 3);
+    send(3, 0);
+    engine_.run();
+    ASSERT_EQ(log_.size(), 2u);
+    EXPECT_EQ(log_[0].at, 10u + 2 * 3);
+    EXPECT_EQ(log_[1].at, 10u + 2 * 3);
+}
+
+TEST_F(NetworkTest, MaxLinkBusyCoversTheLastRouter)
+{
+    build(false);
+    auto* mesh = dynamic_cast<MeshNetwork*>(network_.get());
+    ASSERT_NE(mesh, nullptr);
+    for (int i = 0; i < 3; ++i) {
+        send(15, 11, 8); // node 15's north port
+    }
+    engine_.run();
+    EXPECT_EQ(mesh->maxLinkBusyCycles(), 3 * 20u);
+}
+
 } // namespace
 } // namespace net
 } // namespace plus
