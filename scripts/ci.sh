@@ -21,7 +21,8 @@
 #   7. determinism: both engine backends must produce byte-for-byte
 #                  identical bench output — the matrix is {wheel, heap}
 #                  x {update, invalidate}, each heap run diffed against
-#                  the wheel run of the same protocol
+#                  the wheel run of the same protocol (table_3_1, and
+#                  sim_harness at 16 and 256 nodes)
 #   8. protocols:  per-protocol suites — tests/test_protocol, then
 #                  bench/protocol_shootout (both protocols, checker on,
 #                  each must win at least one sharing pattern) with the
@@ -182,11 +183,17 @@ run_determinism() {
         build/bench/table_3_1 --engine=heap --protocol="$proto" \
             > "$out/table.txt"
         diff "$out/wheel_table.txt" "$out/table.txt"
-        build/bench/sim_harness --nodes=16 --engine=wheel \
-            --protocol="$proto" > "$out/wheel_harness.txt"
-        build/bench/sim_harness --nodes=16 --engine=heap \
-            --protocol="$proto" > "$out/harness.txt"
-        diff "$out/wheel_harness.txt" "$out/harness.txt"
+        # 16 nodes, and 256, where many lanes share each cycle: the
+        # wheel's level-0 fast path and its sorted same-cycle insert
+        # then decide most of the order.
+        local nodes
+        for nodes in 16 256; do
+            build/bench/sim_harness --nodes="$nodes" --engine=wheel \
+                --protocol="$proto" > "$out/wheel_harness.txt"
+            build/bench/sim_harness --nodes="$nodes" --engine=heap \
+                --protocol="$proto" > "$out/harness.txt"
+            diff "$out/wheel_harness.txt" "$out/harness.txt"
+        done
     done
     echo "all engine backends are cycle-for-cycle identical per protocol"
 }

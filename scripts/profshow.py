@@ -5,8 +5,9 @@ The profiler (src/telemetry/prof.hpp, docs/OBSERVABILITY.md) writes one
 JSON object per run via --prof-out. This script turns it into the table
 people actually read: the per-thread phase breakdown — exclusive
 milliseconds, call counts and percent of the run wall per phase
-(engine.run, proc.dispatch, proto.handle, net.deliver) — plus the
-{work, other} rollup that says how much of the wall the phases cover.
+(engine.run, proc.dispatch, proto.handle, net.deliver, check.observe) —
+plus the {work, other} rollup that says how much of the wall the
+phases cover.
 
 Usage:
     scripts/profshow.py prof.json [prof2.json ...]

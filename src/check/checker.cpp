@@ -1,5 +1,7 @@
 #include "check/checker.hpp"
 
+#include "telemetry/prof.hpp"
+
 namespace plus {
 namespace check {
 
@@ -44,6 +46,7 @@ Checker::setCopyListResolver(InvariantChecker::CopyListResolver resolver)
 void
 Checker::onCopyListChanged(Vpn vpn)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     if (invariants_) {
         invariants_->copyListChanged(vpn);
     }
@@ -52,6 +55,7 @@ Checker::onCopyListChanged(Vpn vpn)
 void
 Checker::onNodeCrashed(NodeId node)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::NodeCrashed, node, 0, 0, 0, 0));
     if (invariants_) {
         invariants_->nodeCrashed(node);
@@ -61,6 +65,7 @@ Checker::onNodeCrashed(NodeId node)
 void
 Checker::onEpochSealed(NodeId dead, std::uint64_t epoch)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::EpochSealed, dead, 0, 0, epoch, 0));
     if (invariants_) {
         invariants_->epochSealed(dead, epoch);
@@ -71,6 +76,7 @@ void
 Checker::onPendingInsert(NodeId node, std::uint32_t tag, Vpn vpn,
                          Addr word_offset)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::PendingInsert, node, vpn,
                             word_offset, tag, 0));
     if (invariants_) {
@@ -81,6 +87,7 @@ Checker::onPendingInsert(NodeId node, std::uint32_t tag, Vpn vpn,
 void
 Checker::onPendingComplete(NodeId node, std::uint32_t tag)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::PendingComplete, node, 0, 0, tag, 0));
     if (invariants_) {
         invariants_->pendingComplete(node, tag);
@@ -90,6 +97,7 @@ Checker::onPendingComplete(NodeId node, std::uint32_t tag)
 void
 Checker::onPendingAborted(NodeId node, std::uint32_t tag, bool retried)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::PendingAborted, node, 0, 0, tag,
                             retried ? 1 : 0));
     if (invariants_) {
@@ -100,6 +108,7 @@ Checker::onPendingAborted(NodeId node, std::uint32_t tag, bool retried)
 void
 Checker::onMessageProcessed(NodeId src, NodeId dst, std::uint8_t msg_class)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     // Not traced: one entry per delivered message would flush the
     // bounded ring of the events violations actually need.
     if (invariants_) {
@@ -111,6 +120,7 @@ void
 Checker::onWriteIssued(NodeId node, std::uint32_t tag, Vpn vpn,
                        Addr word_offset, bool from_rmw)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::WriteIssued, node, vpn, word_offset,
                             tag, from_rmw ? 1 : 0));
     if (invariants_) {
@@ -123,6 +133,7 @@ Checker::onChainApplied(ChainId chain, PhysPage copy, Vpn vpn,
                         Addr word_offset, unsigned words, NodeId originator,
                         std::uint32_t tag, bool at_master)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::ChainApplied, copy.node, vpn,
                             word_offset, tag, chain));
     if (invariants_) {
@@ -134,6 +145,7 @@ Checker::onChainApplied(ChainId chain, PhysPage copy, Vpn vpn,
 void
 Checker::onFenceComplete(NodeId node, bool pending_empty)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::FenceComplete, node, 0, 0,
                             pending_empty ? 1 : 0, 0));
     if (invariants_) {
@@ -144,6 +156,7 @@ Checker::onFenceComplete(NodeId node, bool pending_empty)
 void
 Checker::onReadServed(NodeId node, Vpn vpn, Addr word_offset)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::ReadServed, node, vpn, word_offset,
                             0, 0));
     if (invariants_) {
@@ -154,6 +167,7 @@ Checker::onReadServed(NodeId node, Vpn vpn, Addr word_offset)
 void
 Checker::onWordInvalidated(NodeId node, Vpn vpn, Addr word_offset)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::WordInvalidated, node, vpn,
                             word_offset, 0, 0));
     if (invariants_) {
@@ -164,6 +178,7 @@ Checker::onWordInvalidated(NodeId node, Vpn vpn, Addr word_offset)
 void
 Checker::onWordRevalidated(NodeId node, Vpn vpn, Addr word_offset)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::WordRevalidated, node, vpn,
                             word_offset, 0, 0));
     if (invariants_) {
@@ -174,6 +189,7 @@ Checker::onWordRevalidated(NodeId node, Vpn vpn, Addr word_offset)
 void
 Checker::onLocalValueServed(NodeId node, Vpn vpn, Addr word_offset)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::LocalValueServed, node, vpn,
                             word_offset, 0, 0));
     if (invariants_) {
@@ -184,6 +200,7 @@ Checker::onLocalValueServed(NodeId node, Vpn vpn, Addr word_offset)
 void
 Checker::onCopyListMutated(const mem::CopyList& list, const char* op)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::CopyListMutated, kInvalidNode, 0, 0,
                             0, 0));
     if (invariants_) {
@@ -194,6 +211,7 @@ Checker::onCopyListMutated(const mem::CopyList& list, const char* op)
 void
 Checker::onProcRead(NodeId node, ThreadId tid, Addr vaddr)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::ProcRead, node, pageOf(vaddr),
                             wordOffsetOf(vaddr), tid, 0));
     if (races_) {
@@ -204,6 +222,7 @@ Checker::onProcRead(NodeId node, ThreadId tid, Addr vaddr)
 void
 Checker::onProcWrite(NodeId node, ThreadId tid, Addr vaddr)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::ProcWrite, node, pageOf(vaddr),
                             wordOffsetOf(vaddr), tid, 0));
     if (races_) {
@@ -215,6 +234,7 @@ void
 Checker::onProcRmwIssue(NodeId node, ThreadId tid, Addr vaddr,
                         std::uint8_t op)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::ProcRmwIssue, node, pageOf(vaddr),
                             wordOffsetOf(vaddr), tid, op));
     if (races_) {
@@ -225,6 +245,7 @@ Checker::onProcRmwIssue(NodeId node, ThreadId tid, Addr vaddr,
 void
 Checker::onProcVerify(NodeId node, ThreadId tid, Addr vaddr)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::ProcVerify, node, pageOf(vaddr),
                             wordOffsetOf(vaddr), tid, 0));
     if (races_) {
@@ -235,6 +256,7 @@ Checker::onProcVerify(NodeId node, ThreadId tid, Addr vaddr)
 void
 Checker::onProcFence(NodeId node, ThreadId tid)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::ProcFence, node, 0, 0, tid, 0));
     if (races_) {
         races_->fence(tid);
@@ -244,6 +266,7 @@ Checker::onProcFence(NodeId node, ThreadId tid)
 void
 Checker::onProcWriteFence(NodeId node, ThreadId tid)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::ProcWriteFence, node, 0, 0, tid, 0));
     if (races_) {
         races_->writeFence(tid);
@@ -253,6 +276,7 @@ Checker::onProcWriteFence(NodeId node, ThreadId tid)
 void
 Checker::onProcPageLost(NodeId node, ThreadId tid, Addr vaddr)
 {
+    const prof::ScopedPhase prof_scope(prof::Phase::CheckObserve);
     trace_.record(makeEvent(EventKind::ProcPageLost, node, pageOf(vaddr),
                             wordOffsetOf(vaddr), tid, 0));
 }

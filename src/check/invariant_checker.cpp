@@ -1,6 +1,5 @@
 #include "check/invariant_checker.hpp"
 
-#include <algorithm>
 
 #include "common/panic.hpp"
 #include "mem/copy_list.hpp"
@@ -22,8 +21,13 @@ InvariantChecker::InvariantChecker(EventTrace* trace) : trace_(trace)
 std::uint64_t
 InvariantChecker::generation(Vpn vpn) const
 {
-    auto it = generations_.find(vpn);
-    return it == generations_.end() ? 0 : it->second;
+    return vpn < generations_.size() ? generations_[vpn] : 0;
+}
+
+InvariantChecker::Entry*
+InvariantChecker::entryOf(NodeId node, Tag tag)
+{
+    return node < entries_.size() ? entries_[node].find(tag) : nullptr;
 }
 
 const mem::CopyList*
@@ -35,6 +39,9 @@ InvariantChecker::listOf(Vpn vpn) const
 void
 InvariantChecker::copyListChanged(Vpn vpn)
 {
+    if (vpn >= generations_.size()) {
+        generations_.resize(static_cast<std::size_t>(vpn) + 1, 0);
+    }
     generations_[vpn] += 1;
 }
 
@@ -58,17 +65,14 @@ InvariantChecker::epochSealed(NodeId dead, std::uint64_t epoch)
     // can never retire (acks to it are dropped), and chains it
     // originated may finish their walk with no owner. Purging here is
     // what lets survivors reach writesInFlight() == 0 after recovery.
-    auto it = entries_.find(dead);
-    if (it != entries_.end()) {
-        entries_.erase(it);
+    if (dead < entries_.size()) {
+        entries_[dead].clear();
     }
-    // pluslint: allow(R1) -- order-independent flagging; every chain is
-    // visited exactly once and the flag writes commute.
-    for (auto& [id, chain] : chains_) {
+    chains_.forEach([dead](Chain& chain) {
         if (chain.originator == dead) {
             chain.orphaned = true;
         }
-    }
+    });
 }
 
 void
@@ -88,10 +92,7 @@ std::uint64_t
 InvariantChecker::writesInFlight() const
 {
     std::uint64_t total = 0;
-    // pluslint: allow(R1) -- commutative sum; the visit order cannot
-    // reach the total.
-    for (const auto& [node, entries] : entries_) {
-        (void)node;
+    for (const Entries& entries : entries_) {
         total += entries.size();
     }
     return total;
@@ -101,32 +102,31 @@ void
 InvariantChecker::pendingInsert(NodeId node, Tag tag, Vpn vpn,
                                 Addr word_offset)
 {
-    auto [it, inserted] = entries_[node].emplace(
-        tag, Entry{vpn, word_offset, false, 0, false});
-    (void)it;
-    if (!inserted) {
+    if (node >= entries_.size()) {
+        entries_.resize(static_cast<std::size_t>(node) + 1);
+    }
+    if (entries_[node].contains(tag)) {
         violation(concat("node ", node, " re-used in-flight write tag ",
                          tag));
     }
+    entries_[node].insert(tag, Entry{vpn, word_offset, false, 0, false});
 }
 
 void
 InvariantChecker::writeIssued(NodeId node, Tag tag, Vpn vpn,
                               Addr word_offset, bool from_rmw)
 {
-    auto nit = entries_.find(node);
-    auto it = nit == entries_.end() ? decltype(nit->second.begin()){}
-                                    : nit->second.find(tag);
-    if (nit == entries_.end() || it == nit->second.end()) {
+    Entry* entry = entryOf(node, tag);
+    if (entry == nullptr) {
         violation(concat("node ", node, " issued write tag ", tag,
                          " without a pending-writes entry"));
     }
-    if (it->second.vpn != vpn || it->second.wordOffset != word_offset) {
+    if (entry->vpn != vpn || entry->wordOffset != word_offset) {
         violation(concat("node ", node, " write tag ", tag,
                          " issued for a different address than its "
                          "pending-writes entry"));
     }
-    it->second.fromRmw = from_rmw;
+    entry->fromRmw = from_rmw;
 }
 
 void
@@ -140,10 +140,8 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
     const std::uint64_t gen = generation(vpn);
 
     auto markTail = [&](Chain& c) {
-        auto nit = entries_.find(c.originator);
-        auto eit = nit == entries_.end() ? decltype(nit->second.end()){}
-                                         : nit->second.find(c.tag);
-        if (nit == entries_.end() || eit == nit->second.end()) {
+        Entry* entry = entryOf(c.originator, c.tag);
+        if (entry == nullptr) {
             // An orphaned chain's entry legally retired early: its write
             // was aborted by crash recovery and completed by whichever
             // acknowledgement arrived first.
@@ -155,13 +153,13 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
                                  c.tag));
             }
         } else {
-            eit->second.chainDone = true;
+            entry->chainDone = true;
         }
         ++chainsCompleted_;
     };
 
     if (at_master) {
-        if (chains_.count(chain)) {
+        if (chains_.contains(chain)) {
             violation(concat("chain ", chain,
                              " applied at the master copy twice"));
         }
@@ -181,41 +179,38 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
         c.lastCopy = copy;
         c.genAtStart = gen;
         c.visited.push_back(copy);
-        auto nit = entries_.find(originator);
-        auto eit = nit == entries_.end() ? decltype(nit->second.end()){}
-                                         : nit->second.find(tag);
-        if (nit == entries_.end() || eit == nit->second.end()) {
+        Entry* entry = entryOf(originator, tag);
+        if (entry == nullptr) {
             violation(concat("chain ", chain, " started for n", originator,
                              " tag ", tag, " with no pending-writes entry"));
         }
-        if (eit->second.chain != 0) {
+        if (entry->chain != 0) {
             violation(concat("pending entry n", originator, " tag ", tag,
                              " re-used by a second chain"));
         }
-        eit->second.chain = chain;
+        entry->chain = chain;
         // A re-dispatched (crash-aborted) write may race the old chain's
         // acknowledgement; its new chain tolerates an ownerless tail.
-        c.orphaned = eit->second.aborted;
+        c.orphaned = entry->aborted;
         if (!list->successorOf(copy).has_value()) {
             markTail(c);
         }
-        chains_.emplace(chain, std::move(c));
+        chains_.insert(chain, std::move(c));
         return;
     }
 
-    auto cit = chains_.find(chain);
-    if (cit == chains_.end()) {
+    Chain* found = chains_.find(chain);
+    if (found == nullptr) {
         violation(concat("chain ", chain, " applied its effects at replica ",
                          toString(copy), " of page ", vpn,
                          " before (or without) the master copy"));
     }
-    Chain& c = cit->second;
+    Chain& c = *found;
     if (c.vpn != vpn) {
         violation(concat("chain ", chain, " crossed from page ", c.vpn,
                          " to page ", vpn));
     }
-    if (std::find(c.visited.begin(), c.visited.end(), copy) !=
-        c.visited.end()) {
+    if (c.visited.contains(copy)) {
         violation(concat("chain ", chain, " applied twice at copy ",
                          toString(copy)));
     }
@@ -261,7 +256,7 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
     if (tail) {
         markTail(c);
         if (c.orphaned) {
-            chains_.erase(cit);
+            chains_.erase(chain);
         }
     }
 }
@@ -269,20 +264,17 @@ InvariantChecker::chainApplied(ChainId chain, PhysPage copy, Vpn vpn,
 void
 InvariantChecker::pendingAborted(NodeId node, Tag tag, bool retried)
 {
-    auto nit = entries_.find(node);
-    auto it = nit == entries_.end() ? decltype(nit->second.begin()){}
-                                    : nit->second.find(tag);
-    if (nit == entries_.end() || it == nit->second.end()) {
+    Entry* found = entryOf(node, tag);
+    if (found == nullptr) {
         violation(concat("recovery aborted write tag ", tag, " on n", node,
                          " which is not in flight"));
     }
-    Entry& entry = it->second;
+    Entry& entry = *found;
     if (entry.chain != 0) {
         // The old chain may still be walking surviving copies; let it
         // finish without an owner instead of violating at its tail.
-        auto cit = chains_.find(entry.chain);
-        if (cit != chains_.end()) {
-            cit->second.orphaned = true;
+        if (Chain* old = chains_.find(entry.chain)) {
+            old->orphaned = true;
         }
     }
     entry.aborted = true;
@@ -296,14 +288,12 @@ InvariantChecker::pendingAborted(NodeId node, Tag tag, bool retried)
 void
 InvariantChecker::pendingComplete(NodeId node, Tag tag)
 {
-    auto nit = entries_.find(node);
-    auto it = nit == entries_.end() ? decltype(nit->second.begin()){}
-                                    : nit->second.find(tag);
-    if (nit == entries_.end() || it == nit->second.end()) {
+    const Entry* found = entryOf(node, tag);
+    if (found == nullptr) {
         violation(concat("node ", node, " retired write tag ", tag,
                          " which is not in flight (double retire?)"));
     }
-    const Entry entry = it->second;
+    const Entry entry = *found;
     if (entry.aborted) {
         // Crash recovery touched this entry: it retires on whichever
         // acknowledgement (old chain's or re-dispatched chain's)
@@ -312,21 +302,20 @@ InvariantChecker::pendingComplete(NodeId node, Tag tag)
         if (entry.chain != 0 && entry.chainDone) {
             chains_.erase(entry.chain);
         } else if (entry.chain != 0) {
-            auto cit = chains_.find(entry.chain);
-            if (cit != chains_.end()) {
-                cit->second.orphaned = true;
+            if (Chain* chain = chains_.find(entry.chain)) {
+                chain->orphaned = true;
             }
         }
-        nit->second.erase(it);
+        entries_[node].erase(tag);
         ++retired_;
         return;
     }
     if (entry.chain != 0) {
         if (!entry.chainDone) {
-            const auto cit = chains_.find(entry.chain);
+            const Chain* chain = chains_.find(entry.chain);
             const bool relaxed =
-                cit != chains_.end() &&
-                cit->second.genAtStart != generation(entry.vpn);
+                chain != nullptr &&
+                chain->genAtStart != generation(entry.vpn);
             if (!relaxed) {
                 violation(concat("node ", node, " retired write tag ", tag,
                                  " before the last copy of page ",
@@ -340,7 +329,7 @@ InvariantChecker::pendingComplete(NodeId node, Tag tag)
         violation(concat("node ", node, " retired write tag ", tag,
                          " which never took effect at the master copy"));
     }
-    nit->second.erase(it);
+    entries_[node].erase(tag);
     ++retired_;
 }
 
@@ -351,10 +340,9 @@ InvariantChecker::fenceComplete(NodeId node, bool pending_empty)
         violation(concat("fence completed on n", node,
                          " with a non-empty pending-writes cache"));
     }
-    auto nit = entries_.find(node);
-    if (nit != entries_.end() && !nit->second.empty()) {
+    if (node < entries_.size() && !entries_[node].empty()) {
         violation(concat("fence completed on n", node, " with ",
-                         nit->second.size(),
+                         entries_[node].size(),
                          " write(s) still unretired (checker view)"));
     }
 }
@@ -362,18 +350,17 @@ InvariantChecker::fenceComplete(NodeId node, bool pending_empty)
 void
 InvariantChecker::readServed(NodeId node, Vpn vpn, Addr word_offset)
 {
-    auto nit = entries_.find(node);
-    if (nit == entries_.end()) {
+    if (node >= entries_.size()) {
         return;
     }
-    for (const auto& [tag, entry] : nit->second) {
+    entries_[node].forEach([&](Tag tag, const Entry& entry) {
         if (entry.vpn == vpn && entry.wordOffset == word_offset) {
             violation(concat("read on n", node, " of page ", vpn,
                              " word ", word_offset,
                              " served while its own write (tag ", tag,
                              ") is still in flight"));
         }
-    }
+    });
 }
 
 void

@@ -37,6 +37,7 @@
 #ifndef PLUS_CHECK_INVARIANT_CHECKER_HPP_
 #define PLUS_CHECK_INVARIANT_CHECKER_HPP_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -46,6 +47,8 @@
 #include "check/hooks.hpp"
 #include "check/trace.hpp"
 #include "common/config.hpp"
+#include "common/id_map.hpp"
+#include "common/tag_slots.hpp"
 #include "common/types.hpp"
 
 namespace plus {
@@ -138,6 +141,47 @@ class InvariantChecker
         bool aborted = false;
     };
 
+    /**
+     * Copies a chain has applied at, in order. Held inline for
+     * copy-lists up to kInline long; longer ones spill to the heap.
+     */
+    class VisitedCopies
+    {
+      public:
+        bool
+        contains(PhysPage copy) const
+        {
+            for (unsigned i = 0; i < count_ && i < kInline; ++i) {
+                if (inline_[i] == copy) {
+                    return true;
+                }
+            }
+            for (const PhysPage& spilled : spill_) {
+                if (spilled == copy) {
+                    return true;
+                }
+            }
+            return false;
+        }
+
+        void
+        push_back(PhysPage copy)
+        {
+            if (count_ < kInline) {
+                inline_[count_] = copy;
+            } else {
+                spill_.push_back(copy);
+            }
+            ++count_;
+        }
+
+      private:
+        static constexpr unsigned kInline = 6;
+        std::array<PhysPage, kInline> inline_{};
+        unsigned count_ = 0;
+        std::vector<PhysPage> spill_;
+    };
+
     struct Chain {
         Vpn vpn = 0;
         NodeId originator = kInvalidNode;
@@ -150,8 +194,10 @@ class InvariantChecker
         bool orphaned = false;
         PhysPage lastCopy;
         std::uint64_t genAtStart = 0;
-        std::vector<PhysPage> visited;
+        VisitedCopies visited;
     };
+
+    using Entries = TagSlots<Entry>;
 
     [[noreturn]] void violation(const std::string& message) const
     {
@@ -160,16 +206,21 @@ class InvariantChecker
 
     std::uint64_t generation(Vpn vpn) const;
     const mem::CopyList* listOf(Vpn vpn) const;
+    /** @p node's in-flight entry @p tag, or null. */
+    Entry* entryOf(NodeId node, Tag tag);
 
     EventTrace* trace_;
     CopyListResolver resolve_;
 
-    /** In-flight pending-write entries, per node, keyed by tag. */
-    std::unordered_map<NodeId, std::unordered_map<Tag, Entry>> entries_;
+    /**
+     * In-flight pending-write entries: one slot table per node, indexed
+     * by node id and grown as nodes first insert.
+     */
+    std::vector<Entries> entries_;
     /** Open propagation chains by chain id. */
-    std::unordered_map<ChainId, Chain> chains_;
-    /** Copy-list mutation counters per page. */
-    std::unordered_map<Vpn, std::uint64_t> generations_;
+    IdMap<Chain> chains_;
+    /** Copy-list mutation counters, indexed by vpn (0 past the end). */
+    std::vector<std::uint64_t> generations_;
 
     Protocol mode_ = Protocol::WriteUpdate;
     /**

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/panic.hpp"
-#include "sim/engine.hpp"
 
 namespace plus {
 namespace check {
@@ -40,17 +39,6 @@ toString(EventKind kind)
 EventTrace::EventTrace(unsigned depth, const sim::Engine* engine)
     : ring_(std::max(1u, depth)), engine_(engine)
 {
-}
-
-void
-EventTrace::record(Event event)
-{
-    if (engine_) {
-        event.when = engine_->now();
-    }
-    ring_[next_] = event;
-    next_ = (next_ + 1) % ring_.size();
-    ++recorded_;
 }
 
 std::string

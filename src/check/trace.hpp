@@ -14,12 +14,9 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "sim/engine.hpp"
 
 namespace plus {
-
-namespace sim {
-class Engine;
-} // namespace sim
 
 namespace check {
 
@@ -68,7 +65,20 @@ class EventTrace
     /** @param engine  Optional clock source for event timestamps. */
     EventTrace(unsigned depth, const sim::Engine* engine);
 
-    void record(Event event);
+    /** Stamp @p event with the engine clock and keep it. */
+    void
+    record(const Event& event)
+    {
+        Event& slot = ring_[next_];
+        slot = event;
+        if (engine_ != nullptr) {
+            slot.when = engine_->now();
+        }
+        if (++next_ == ring_.size()) {
+            next_ = 0;
+        }
+        ++recorded_;
+    }
 
     std::uint64_t recorded() const { return recorded_; }
 

@@ -162,10 +162,7 @@ Machine::Machine(MachineConfig config)
         opts.panicOnRace = config_.check.panicOnRace;
         checker_ = std::make_unique<check::Checker>(opts, &engine_);
         checker_->setCopyListResolver(
-            [this](Vpn vpn) -> const mem::CopyList* {
-                return directory_.contains(vpn) ? &directory_.copyList(vpn)
-                                                : nullptr;
-            });
+            [this](Vpn vpn) { return directory_.find(vpn); });
         if (checker_->invariants()) {
             checker_->invariants()->setProtocol(config_.protocol);
         }

@@ -5,13 +5,15 @@
  * master table identifies the global physical address of the master copy,
  * and the next-copy table identifies the successor, if any, of the local
  * copy along the copy-list. Both are maintained by the operating system.
+ * Like the hardware's, both tables are indexed directly by local frame:
+ * one vector slot per frame, grown as frames are first set.
  */
 
 #ifndef PLUS_MEM_COHERENCE_TABLES_HPP_
 #define PLUS_MEM_COHERENCE_TABLES_HPP_
 
 #include <optional>
-#include <unordered_map>
+#include <vector>
 
 #include "common/panic.hpp"
 #include "common/types.hpp"
@@ -19,7 +21,7 @@
 namespace plus {
 namespace mem {
 
-/** master + next-copy tables of one node, keyed by local frame. */
+/** master + next-copy tables of one node, indexed by local frame. */
 class CoherenceTables
 {
   public:
@@ -27,7 +29,8 @@ class CoherenceTables
     void
     setMaster(FrameId frame, PhysPage master)
     {
-        master_[frame] = master;
+        PLUS_ASSERT(master.valid(), "invalid master for frame ", frame);
+        slot(frame).master = master;
     }
 
     /** Set (or clear, with nullopt) the successor of a local frame. */
@@ -35,9 +38,11 @@ class CoherenceTables
     setNextCopy(FrameId frame, std::optional<PhysPage> next)
     {
         if (next) {
-            next_[frame] = *next;
-        } else {
-            next_.erase(frame);
+            PLUS_ASSERT(next->valid(), "invalid next copy for frame ",
+                        frame);
+            slot(frame).next = *next;
+        } else if (frame < frames_.size()) {
+            frames_[frame].next = PhysPage{};
         }
     }
 
@@ -45,36 +50,55 @@ class CoherenceTables
     void
     erase(FrameId frame)
     {
-        master_.erase(frame);
-        next_.erase(frame);
+        if (frame < frames_.size()) {
+            frames_[frame] = Entry{};
+        }
     }
 
     /** Master copy of the page held in @p frame. @pre entry exists. */
     PhysPage
     master(FrameId frame) const
     {
-        auto it = master_.find(frame);
-        PLUS_ASSERT(it != master_.end(),
-                    "no master-table entry for frame ", frame);
-        return it->second;
+        PLUS_ASSERT(knows(frame), "no master-table entry for frame ",
+                    frame);
+        return frames_[frame].master;
     }
 
-    bool knows(FrameId frame) const { return master_.count(frame) != 0; }
+    bool
+    knows(FrameId frame) const
+    {
+        return frame < frames_.size() && frames_[frame].master.valid();
+    }
 
     /** Successor of the local copy in @p frame, if any. */
     std::optional<PhysPage>
     nextCopy(FrameId frame) const
     {
-        auto it = next_.find(frame);
-        if (it == next_.end()) {
+        if (frame >= frames_.size() || !frames_[frame].next.valid()) {
             return std::nullopt;
         }
-        return it->second;
+        return frames_[frame].next;
     }
 
   private:
-    std::unordered_map<FrameId, PhysPage> master_;
-    std::unordered_map<FrameId, PhysPage> next_;
+    /** One frame's entries; an invalid PhysPage marks "no entry". */
+    struct Entry {
+        PhysPage master;
+        PhysPage next;
+    };
+
+    Entry&
+    slot(FrameId frame)
+    {
+        PLUS_ASSERT(frame != kInvalidFrame, "coherence-table entry for "
+                                            "the invalid frame");
+        if (frame >= frames_.size()) {
+            frames_.resize(static_cast<std::size_t>(frame) + 1);
+        }
+        return frames_[frame];
+    }
+
+    std::vector<Entry> frames_;
 };
 
 } // namespace mem

@@ -30,11 +30,5 @@ LocalMemory::freeFrame(FrameId frame)
     --inUse_;
 }
 
-bool
-LocalMemory::allocated(FrameId frame) const
-{
-    return frame < storage_.size() && storage_[frame] != nullptr;
-}
-
 } // namespace mem
 } // namespace plus

@@ -40,7 +40,11 @@ class LocalMemory
     void freeFrame(FrameId frame);
 
     /** True if the frame is currently allocated. */
-    bool allocated(FrameId frame) const;
+    bool
+    allocated(FrameId frame) const
+    {
+        return frame < storage_.size() && storage_[frame] != nullptr;
+    }
 
     /** Read one word. @pre frame allocated, offset < kPageWords. */
     Word

@@ -12,19 +12,23 @@
 #ifndef PLUS_MEM_PAGE_TABLE_HPP_
 #define PLUS_MEM_PAGE_TABLE_HPP_
 
-#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/panic.hpp"
 #include "common/types.hpp"
 #include "mem/copy_list.hpp"
 
 namespace plus {
 namespace mem {
 
-/** Per-node virtual-to-physical map with lazy fill. */
+/**
+ * Per-node virtual-to-physical map with lazy fill. Virtual pages are
+ * numbered densely from 1, so the map is a vector indexed by vpn,
+ * grown on install; an invalid PhysPage marks an unmapped page.
+ */
 class PageTable
 {
   public:
@@ -32,17 +36,24 @@ class PageTable
     std::optional<PhysPage>
     lookup(Vpn vpn) const
     {
-        auto it = map_.find(vpn);
-        if (it == map_.end()) {
+        if (!contains(vpn)) {
             return std::nullopt;
         }
-        return it->second;
+        return map_[vpn];
     }
 
     /** Install or update a mapping (exception handler / OS action). */
     void
     install(Vpn vpn, PhysPage page)
     {
+        PLUS_ASSERT(page.valid(), "installing an invalid mapping for vpn ",
+                    vpn);
+        if (vpn >= map_.size()) {
+            map_.resize(static_cast<std::size_t>(vpn) + 1);
+        }
+        if (!map_[vpn].valid()) {
+            ++size_;
+        }
         map_[vpn] = page;
         ++fills_;
     }
@@ -51,19 +62,27 @@ class PageTable
     void
     invalidate(Vpn vpn)
     {
-        if (map_.erase(vpn)) {
+        if (contains(vpn)) {
+            map_[vpn] = PhysPage{};
+            --size_;
             ++invalidations_;
         }
     }
 
-    bool contains(Vpn vpn) const { return map_.count(vpn) != 0; }
-    std::size_t size() const { return map_.size(); }
+    bool
+    contains(Vpn vpn) const
+    {
+        return vpn < map_.size() && map_[vpn].valid();
+    }
+
+    std::size_t size() const { return size_; }
 
     std::uint64_t fills() const { return fills_; }
     std::uint64_t invalidations() const { return invalidations_; }
 
   private:
-    std::unordered_map<Vpn, PhysPage> map_;
+    std::vector<PhysPage> map_;
+    std::size_t size_ = 0;
     std::uint64_t fills_ = 0;
     std::uint64_t invalidations_ = 0;
 };
@@ -71,6 +90,8 @@ class PageTable
 /**
  * Centralized table of legal mappings: one CopyList per virtual page.
  * Maintained by the operating system (the Machine in this simulator).
+ * Indexed directly by vpn like the per-node page tables; each list
+ * lives in its own cell, so references stay valid as the table grows.
  */
 class PageDirectory
 {
@@ -79,58 +100,72 @@ class PageDirectory
     void
     create(Vpn vpn, PhysPage master)
     {
-        PLUS_ASSERT(!map_.count(vpn), "vpn ", vpn, " already exists");
-        map_.emplace(vpn, CopyList(master));
+        PLUS_ASSERT(!contains(vpn), "vpn ", vpn, " already exists");
+        if (vpn >= map_.size()) {
+            map_.resize(static_cast<std::size_t>(vpn) + 1);
+        }
+        map_[vpn] = std::make_unique<CopyList>(master);
+        ++pages_;
     }
 
     /** Destroy a virtual page entirely. */
     void
     destroy(Vpn vpn)
     {
-        PLUS_ASSERT(map_.erase(vpn) == 1, "destroy of unknown vpn ", vpn);
+        PLUS_ASSERT(contains(vpn), "destroy of unknown vpn ", vpn);
+        map_[vpn].reset();
+        --pages_;
     }
 
-    bool contains(Vpn vpn) const { return map_.count(vpn) != 0; }
+    bool
+    contains(Vpn vpn) const
+    {
+        return vpn < map_.size() && map_[vpn] != nullptr;
+    }
+
+    /** The copy-list of @p vpn, or null if the page does not exist. */
+    const CopyList*
+    find(Vpn vpn) const
+    {
+        return vpn < map_.size() ? map_[vpn].get() : nullptr;
+    }
 
     const CopyList&
     copyList(Vpn vpn) const
     {
-        auto it = map_.find(vpn);
-        PLUS_ASSERT(it != map_.end(), "unknown vpn ", vpn);
-        return it->second;
+        PLUS_ASSERT(contains(vpn), "unknown vpn ", vpn);
+        return *map_[vpn];
     }
 
     CopyList&
     copyList(Vpn vpn)
     {
-        auto it = map_.find(vpn);
-        PLUS_ASSERT(it != map_.end(), "unknown vpn ", vpn);
-        return it->second;
+        PLUS_ASSERT(contains(vpn), "unknown vpn ", vpn);
+        return *map_[vpn];
     }
 
-    std::size_t pages() const { return map_.size(); }
+    std::size_t pages() const { return pages_; }
 
     /**
      * Every legal virtual page, ascending. Recovery walks the whole
-     * directory; sorting makes the walk identical in every backend
-     * (the underlying map's order is not deterministic).
+     * directory in this order, the same in every backend.
      */
     std::vector<Vpn>
     sortedVpns() const
     {
         std::vector<Vpn> vpns;
-        vpns.reserve(map_.size());
-        // pluslint: allow(R1) -- collected then sorted before use.
-        for (const auto& [vpn, list] : map_) {
-            (void)list;
-            vpns.push_back(vpn);
+        vpns.reserve(pages_);
+        for (Vpn vpn = 0; vpn < map_.size(); ++vpn) {
+            if (map_[vpn] != nullptr) {
+                vpns.push_back(vpn);
+            }
         }
-        std::sort(vpns.begin(), vpns.end());
         return vpns;
     }
 
   private:
-    std::unordered_map<Vpn, CopyList> map_;
+    std::vector<std::unique_ptr<CopyList>> map_;
+    std::size_t pages_ = 0;
 };
 
 } // namespace mem

@@ -1,6 +1,6 @@
 #include "net/network.hpp"
 
-#include <cmath>
+#include <cstdint>
 
 #include "common/log.hpp"
 #include "common/panic.hpp"
@@ -11,6 +11,17 @@
 
 namespace plus {
 namespace net {
+
+namespace {
+
+/** Link bandwidth as a whole number of milli-bytes per cycle. */
+constexpr std::uint64_t kMilliBytesPerCycle =
+    static_cast<std::uint64_t>(NetworkConfig::bytesPerCycle * 1000 + 0.5);
+static_assert(static_cast<double>(kMilliBytesPerCycle) / 1000 ==
+                  NetworkConfig::bytesPerCycle,
+              "bytesPerCycle must be a whole number of milli-bytes");
+
+} // namespace
 
 Network::Network(sim::Engine& engine, const Topology& topology,
                  const NetworkConfig& config)
@@ -31,8 +42,10 @@ Network::setDeliveryHandler(NodeId node, DeliveryHandler handler)
 Cycles
 Network::serializationCycles(unsigned payload_bytes) const
 {
-    const double bytes = config_.headerBytes + payload_bytes;
-    return static_cast<Cycles>(std::ceil(bytes / config_.bytesPerCycle));
+    // ceil(bytes / bytesPerCycle), exactly, in integers.
+    const std::uint64_t milli_bytes =
+        (std::uint64_t{NetworkConfig::headerBytes} + payload_bytes) * 1000;
+    return (milli_bytes + kMilliBytesPerCycle - 1) / kMilliBytesPerCycle;
 }
 
 void

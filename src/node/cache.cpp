@@ -14,12 +14,18 @@ Cache::Cache(const CostModel& cost, SnoopPolicy policy)
         cost.cacheBytes / (lineWords_ * static_cast<unsigned>(kWordBytes));
     PLUS_ASSERT(total_lines >= ways_, "cache smaller than one set");
     sets_ = total_lines / ways_;
-    lines_.resize(static_cast<std::size_t>(sets_) * ways_);
+    // Reserve now, construct at the first fill: the allocation keeps
+    // its place in the heap, but a cache that is never filled never
+    // touches its line pages.
+    lines_.reserve(static_cast<std::size_t>(sets_) * ways_);
 }
 
 Cache::Line*
 Cache::find(std::uint64_t line)
 {
+    if (lines_.empty()) {
+        return nullptr; // never filled: holds no line
+    }
     const unsigned set = static_cast<unsigned>(line % sets_);
     Line* base = &lines_[static_cast<std::size_t>(set) * ways_];
     for (unsigned w = 0; w < ways_; ++w) {
@@ -33,6 +39,9 @@ Cache::find(std::uint64_t line)
 void
 Cache::insert(std::uint64_t line)
 {
+    if (lines_.empty()) {
+        lines_.resize(static_cast<std::size_t>(sets_) * ways_);
+    }
     const unsigned set = static_cast<unsigned>(line % sets_);
     Line* base = &lines_[static_cast<std::size_t>(set) * ways_];
     // The first invalid way if there is one (stamp 0), else the LRU way.

@@ -11,7 +11,10 @@
  * A snooping protocol on the node bus keeps the cache coherent whenever
  * the coherence manager writes local memory; the paper's write-update
  * snoop keeps the line valid, and an invalidating snoop is provided for
- * ablation.
+ * ablation. The line array is constructed at the first fill (its
+ * memory is only reserved before), so a cache that is never read
+ * through touches no line storage and misses every snoop and write
+ * probe at once.
  */
 
 #ifndef PLUS_NODE_CACHE_HPP_
@@ -66,6 +69,13 @@ class Cache
 
     const Stats& stats() const { return stats_; }
 
+    /** Host bytes of constructed line state (0 until the first fill). */
+    std::size_t
+    storageBytes() const
+    {
+        return lines_.size() * sizeof(Line);
+    }
+
     unsigned sets() const { return sets_; }
     unsigned ways() const { return ways_; }
 
@@ -98,7 +108,8 @@ class Cache
     unsigned sets_;
     unsigned ways_;
     SnoopPolicy policy_;
-    std::vector<Line> lines_; ///< sets_ * ways_, set-major
+    /** sets_ * ways_, set-major; reserved, empty until the first fill. */
+    std::vector<Line> lines_;
     std::uint64_t clock_ = 0;
     Stats stats_;
 };

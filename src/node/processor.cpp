@@ -224,7 +224,12 @@ Processor::resumeThread(unsigned t)
     PLUS_ASSERT(current_ == t, "resume of a thread that lost the CPU");
     Thread& thread = threads_[t];
     thread.state = ThreadState::Running;
-    thread.fiber->resume();
+    {
+        // The thread's own work up to its next yield is processor time,
+        // whether dispatch() or a charge event resumed it.
+        const prof::ScopedPhase prof_scope(prof::Phase::ProcDispatch);
+        thread.fiber->resume();
+    }
 
     // The fiber yielded: either the thread finished, blocked, or is in a
     // timed charge (in which case current_ is still t and an event will

@@ -69,7 +69,7 @@ CoherenceManager::CoherenceManager(NodeId self, const CostModel& cost,
 CoherenceManager::~CoherenceManager() = default;
 
 void
-CoherenceManager::enqueue(Cycles occupancy, sim::Event work)
+CoherenceManager::enqueue(Cycles occupancy, sim::Event&& work)
 {
     const Cycles now = deps_.engine->now();
     const Cycles start = std::max(now, busyUntil_);
@@ -139,7 +139,7 @@ CoherenceManager::procRead(Vpn vpn, Addr word_offset, PhysAddr phys,
                 deps_.refCounters->recordRemoteRef(vpn);
             }
             const ReadTag tag = nextReadTag_++;
-            readWaiters_.emplace(tag, std::move(done));
+            readWaiters_.insert(tag, std::move(done));
             if (recoveryArmed_) {
                 readMeta_.emplace(tag, ReadMeta{vpn, word_offset,
                                                 phys.page.node});
@@ -675,8 +675,7 @@ CoherenceManager::onReadReq(std::unique_ptr<ReadReq> msg)
 void
 CoherenceManager::onReadResp(const ReadResp& msg)
 {
-    auto it = readWaiters_.find(msg.tag);
-    if (it == readWaiters_.end()) {
+    if (!readWaiters_.contains(msg.tag)) {
         // Only recovery can retire a read out from under its response:
         // it re-dispatched the request and the original answer arrived
         // after the replayed one (or after a degraded completion).
@@ -688,8 +687,7 @@ CoherenceManager::onReadResp(const ReadResp& msg)
     if (recoveryArmed_) {
         readMeta_.erase(msg.tag);
     }
-    auto done = std::move(it->second);
-    readWaiters_.erase(it);
+    auto done = readWaiters_.take(msg.tag);
     done(msg.value);
 }
 
@@ -853,7 +851,7 @@ CoherenceManager::nackTargetLive(const Nack& nack) const
 {
     switch (nack.kind) {
       case NackedKind::Read:
-        return readWaiters_.find(nack.readTag) != readWaiters_.end();
+        return readWaiters_.contains(nack.readTag);
       case NackedKind::Write:
         return writeMeta_.find(nack.writeTag) != writeMeta_.end();
       case NackedKind::Rmw:
@@ -869,13 +867,11 @@ CoherenceManager::completeNackedAsLost(const Nack& nack)
     stats_.recoveryAborts += 1;
     switch (nack.kind) {
       case NackedKind::Read: {
-        auto it = readWaiters_.find(nack.readTag);
-        PLUS_ASSERT(it != readWaiters_.end(),
+        PLUS_ASSERT(readWaiters_.contains(nack.readTag),
                     "lost-page nacked read with no waiter");
         clearNackRetries(NackedKind::Read, nack.readTag);
         readMeta_.erase(nack.readTag);
-        auto done = std::move(it->second);
-        readWaiters_.erase(it);
+        auto done = readWaiters_.take(nack.readTag);
         done(kPageLostValue);
         break;
       }
@@ -943,15 +939,13 @@ CoherenceManager::onNack(std::unique_ptr<Nack> msg)
         switch (m->kind) {
           case NackedKind::Read: {
             if (page.node == self_) {
-                auto it = readWaiters_.find(m->readTag);
-                PLUS_ASSERT(it != readWaiters_.end(),
+                PLUS_ASSERT(readWaiters_.contains(m->readTag),
                             "nacked read with unknown tag");
                 clearNackRetries(NackedKind::Read, m->readTag);
                 if (recoveryArmed_) {
                     readMeta_.erase(m->readTag);
                 }
-                auto done = std::move(it->second);
-                readWaiters_.erase(it);
+                auto done = readWaiters_.take(m->readTag);
                 protocol_->serveNackedLocalRead(m->vpn, m->wordOffset,
                                                 page.frame,
                                                 std::move(done));
@@ -1023,14 +1017,12 @@ CoherenceManager::recoverAfterCrash(NodeId dead,
     }
     for (const ReadTag tag : reads) {
         const ReadMeta meta = readMeta_.at(tag);
-        auto wit = readWaiters_.find(tag);
-        PLUS_ASSERT(wit != readWaiters_.end(),
+        PLUS_ASSERT(readWaiters_.contains(tag),
                     "recovery found a read with no waiter");
         clearNackRetries(NackedKind::Read, tag);
         if (isLost(meta.vpn)) {
             readMeta_.erase(tag);
-            auto done = std::move(wit->second);
-            readWaiters_.erase(wit);
+            auto done = readWaiters_.take(tag);
             done(kPageLostValue);
             out.lostCompletions += 1;
             continue;
@@ -1039,8 +1031,7 @@ CoherenceManager::recoverAfterCrash(NodeId dead,
         const PhysPage page = translate_(meta.vpn);
         if (page.node == self_) {
             readMeta_.erase(tag);
-            auto done = std::move(wit->second);
-            readWaiters_.erase(wit);
+            auto done = readWaiters_.take(tag);
             done(deps_.memory->read(page.frame, meta.wordOffset));
         } else {
             readMeta_.at(tag).dst = page.node;

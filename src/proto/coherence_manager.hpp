@@ -40,6 +40,7 @@
 
 #include "check/hooks.hpp"
 #include "common/config.hpp"
+#include "common/tag_slots.hpp"
 #include "common/types.hpp"
 #include "mem/coherence_tables.hpp"
 #include "mem/local_memory.hpp"
@@ -321,7 +322,7 @@ class CoherenceManager
      * event record — handlers move message ownership straight into the
      * capture instead of copying the message struct.
      */
-    void enqueue(Cycles occupancy, sim::Event work);
+    void enqueue(Cycles occupancy, sim::Event&& work);
 
     /** Send a protocol message, sized and counted. */
     void send(NodeId dst, std::unique_ptr<ProtoMsg> msg, unsigned bytes);
@@ -398,7 +399,7 @@ class CoherenceManager
     void gateBehindFence(std::function<void()> fn);
 
     /** Blocked remote-read continuations, by tag. */
-    std::unordered_map<ReadTag, std::function<void(Word)>> readWaiters_;
+    TagSlots<std::function<void(Word)>> readWaiters_;
     ReadTag nextReadTag_ = 1;
 
     /**

@@ -6,19 +6,23 @@
  * can have several writes in flight (8 in the 1990 implementation), but
  * reading a location that is currently being written blocks until the
  * write completes, and a fence blocks until the cache is empty.
+ *
+ * Like the hardware's, the cache is an array of `capacity` slots, each
+ * holding one in-flight write's tag and address; tags keep counting up
+ * across slot reuse.
  */
 
 #ifndef PLUS_PROTO_PENDING_WRITES_HPP_
 #define PLUS_PROTO_PENDING_WRITES_HPP_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "check/hooks.hpp"
 #include "common/panic.hpp"
+#include "common/tag_slots.hpp"
 #include "common/types.hpp"
 
 namespace plus {
@@ -31,7 +35,8 @@ class PendingWrites
     using Tag = std::uint32_t;
     using Waiter = std::function<void()>;
 
-    explicit PendingWrites(unsigned capacity) : capacity_(capacity)
+    explicit PendingWrites(unsigned capacity)
+        : capacity_(capacity), slots_(capacity)
     {
         PLUS_ASSERT(capacity_ > 0, "pending-writes cache needs capacity");
     }
@@ -45,9 +50,9 @@ class PendingWrites
     }
 
     unsigned capacity() const { return capacity_; }
-    unsigned inFlight() const { return static_cast<unsigned>(map_.size()); }
+    unsigned inFlight() const { return static_cast<unsigned>(slots_.size()); }
     bool full() const { return inFlight() >= capacity_; }
-    bool empty() const { return map_.empty(); }
+    bool empty() const { return slots_.empty(); }
 
     /**
      * Record a new in-flight write to (vpn, word offset).
@@ -59,7 +64,10 @@ class PendingWrites
     {
         PLUS_ASSERT(!full(), "pending-writes cache overflow");
         const Tag tag = nextTag_++;
-        map_.emplace(tag, Key{vpn, word_offset});
+        if (nextTag_ == Slots::kFreeTag) {
+            nextTag_ = 1; // the wrap skips the free-slot marker
+        }
+        slots_.insert(tag, Key{vpn, word_offset});
         if (check_) {
             check_->onPendingInsert(self_, tag, vpn, word_offset);
         }
@@ -75,9 +83,8 @@ class PendingWrites
             // the panic carries the event history.
             check_->onPendingComplete(self_, tag);
         }
-        auto it = map_.find(tag);
-        PLUS_ASSERT(it != map_.end(), "ack for unknown write tag ", tag);
-        map_.erase(it);
+        const bool known = slots_.erase(tag);
+        PLUS_ASSERT(known, "ack for unknown write tag ", tag);
         wake();
     }
 
@@ -85,15 +92,11 @@ class PendingWrites
     bool
     pendingOn(Vpn vpn, Addr word_offset) const
     {
-        // pluslint: allow(R1) -- pure existence scan; every order gives
-        // the same answer.
-        for (const auto& [tag, key] : map_) {
-            (void)tag;
-            if (key.vpn == vpn && key.wordOffset == word_offset) {
-                return true;
-            }
-        }
-        return false;
+        bool found = false;
+        slots_.forEach([&](Tag, const Key& key) {
+            found = found || (key.vpn == vpn && key.wordOffset == word_offset);
+        });
+        return found;
     }
 
     /** Run @p fn once the cache is empty (immediately if it already is). */
@@ -141,9 +144,11 @@ class PendingWrites
 
   private:
     struct Key {
-        Vpn vpn;
-        Addr wordOffset;
+        Vpn vpn = 0;
+        Addr wordOffset = 0;
     };
+
+    using Slots = TagSlots<Key>;
 
     void
     wake()
@@ -194,7 +199,8 @@ class PendingWrites
     check::PendingWritesObserver* check_ = nullptr;
     NodeId self_ = kInvalidNode;
     Tag nextTag_ = 1;
-    std::unordered_map<Tag, Key> map_;
+    /** The cache's `capacity` entries: in-flight tag -> address. */
+    Slots slots_;
     std::vector<Waiter> emptyWaiters_;
     std::vector<Waiter> slotWaiters_;
     std::vector<AddrWaiter> addrWaiters_;

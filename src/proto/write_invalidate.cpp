@@ -242,7 +242,7 @@ WriteInvalidateProtocol::refetchWord(Vpn vpn, Addr word_offset,
     }
     const ReadTag tag = cm_.nextReadTag_++;
     const std::uint64_t gen = invGen_[frame];
-    cm_.readWaiters_.emplace(
+    cm_.readWaiters_.insert(
         tag, [this, vpn, word_offset, frame, gen,
               done = std::move(done)](Word value) mutable {
             // Revalidate the copy's word only if nothing invalidated the

@@ -52,7 +52,7 @@ Engine::makeKey2()
 }
 
 EventId
-Engine::scheduleForNode(NodeId node, Cycles delay, Event fn)
+Engine::scheduleForNode(NodeId node, Cycles delay, Event&& fn)
 {
     if (nodes_ == 0) {
         // Unconfigured engine (unit tests driving one subsystem
@@ -67,13 +67,13 @@ Engine::scheduleForNode(NodeId node, Cycles delay, Event fn)
 }
 
 void
-Engine::scheduleMachine(Cycles delay, Event fn)
+Engine::scheduleMachine(Cycles delay, Event&& fn)
 {
     scheduleImpl(now_ + delay, std::move(fn), false, kMachineLane);
 }
 
 EventId
-Engine::scheduleDaemon(Cycles delay, Event fn)
+Engine::scheduleDaemon(Cycles delay, Event&& fn)
 {
     PLUS_ASSERT(ctx_.node == kMachineLane,
                 "daemon events are machine-lane only");
@@ -81,7 +81,7 @@ Engine::scheduleDaemon(Cycles delay, Event fn)
 }
 
 EventId
-Engine::scheduleImpl(Cycles when, Event fn, bool daemon,
+Engine::scheduleImpl(Cycles when, Event&& fn, bool daemon,
                      std::uint16_t lane)
 {
     PLUS_ASSERT(fn, "scheduling a null event");
@@ -180,21 +180,29 @@ Engine::dispatchNext(Cycles limit)
         return false;
     }
     EventRecord& rec = slab_[idx];
-    const Cycles when = rec.when;
-    Event fn = std::move(rec.fn);
     if (rec.daemon) {
         --daemonPending_;
     }
     enterEventContext(rec);
-    // Free before invoking: the callback may reschedule into this very
-    // slot, and cancel() of the now-fired id must report false.
-    slab_.free(idx);
+    // Retire before invoking, so cancel() of the firing id reports
+    // false; the callable runs in place (slab records never move) and
+    // its record returns to the free list only afterwards, also when
+    // the callback throws.
+    slab_.retire(idx);
     --pending_;
-    now_ = when;
+    now_ = rec.when;
     ++executed_;
-    fn();
-    ctx_.node = kMachineLane;
-    ctx_.init = false;
+    struct Release {
+        Engine& engine;
+        std::uint32_t idx;
+        ~Release()
+        {
+            engine.slab_.release(idx);
+            engine.ctx_.node = kMachineLane;
+            engine.ctx_.init = false;
+        }
+    } release{*this, idx};
+    rec.fn();
     return true;
 }
 

@@ -89,14 +89,14 @@ class Engine
 
     /** Schedule @p fn to run @p delay cycles from now. */
     EventId
-    schedule(Cycles delay, Event fn)
+    schedule(Cycles delay, Event&& fn)
     {
         return scheduleImpl(now_ + delay, std::move(fn), false, ctx_.node);
     }
 
     /** Schedule @p fn at absolute cycle @p when (must be >= now). */
     EventId
-    scheduleAt(Cycles when, Event fn)
+    scheduleAt(Cycles when, Event&& fn)
     {
         return scheduleImpl(when, std::move(fn), false, ctx_.node);
     }
@@ -110,17 +110,17 @@ class Engine
      * never stretch a run to their own next deadline. Excluded from
      * pendingEvents(); cancel() works normally. Machine lane only.
      */
-    EventId scheduleDaemon(Cycles delay, Event fn);
+    EventId scheduleDaemon(Cycles delay, Event&& fn);
 
     /**
      * Schedule @p fn into node @p node's lane. The key still comes
      * from the *current* context; only the execution lane is
      * overridden.
      */
-    EventId scheduleForNode(NodeId node, Cycles delay, Event fn);
+    EventId scheduleForNode(NodeId node, Cycles delay, Event&& fn);
 
     /** Schedule machine-lane work (from node or machine context). */
-    void scheduleMachine(Cycles delay, Event fn);
+    void scheduleMachine(Cycles delay, Event&& fn);
 
     /**
      * Run machine-side code in node @p node's scheduling context, so
@@ -211,7 +211,8 @@ class Engine
         }
     };
 
-    EventId scheduleImpl(Cycles when, Event fn, bool daemon,
+    /** File a new record; @p fn is relocated once, into the slab. */
+    EventId scheduleImpl(Cycles when, Event&& fn, bool daemon,
                          std::uint16_t lane);
     /** Canonical key tiebreak from the current scheduling context. */
     std::uint64_t makeKey2();

@@ -4,12 +4,16 @@
  *
  * Event records live in fixed 256-slot chunks that are never moved or
  * freed while the engine is alive, so raw indices stay valid across
- * growth and callbacks may schedule freely mid-dispatch. A free list
- * threaded through the records makes allocate/free O(1), and a
- * generation counter per slot lets `Engine::cancel()` reject stale
- * `EventId`s without any tombstone bookkeeping. Under AddressSanitizer
- * the callable storage of freed records is poisoned so use-after-free
- * of a dead event trips the sanitizer stage of CI.
+ * growth and callbacks may schedule freely mid-dispatch — which is
+ * also what lets the engine invoke an event's callable in place in its
+ * record. A free list threaded through the records makes allocate and
+ * release O(1), and a generation counter per slot lets
+ * `Engine::cancel()` reject stale `EventId`s without any tombstone
+ * bookkeeping. A firing record is retired (generation bumped, no
+ * longer live) before its callback and released onto the free list
+ * after it. Under AddressSanitizer the callable storage of freed
+ * records is poisoned so use-after-free of a dead event trips the
+ * sanitizer stage of CI.
  */
 
 #ifndef PLUS_SIM_EVENT_SLAB_HPP_
@@ -90,6 +94,8 @@ struct EventRecord {
     static constexpr std::uint16_t kHomePre = 0xfffe;
     /** `home` for a record owned by the legacy heap backend. */
     static constexpr std::uint16_t kHomeHeap = 0xfffd;
+    /** `home` for a retired record whose callable is still running. */
+    static constexpr std::uint16_t kHomeRetired = 0xfffc;
 
     Event fn;                           ///< poisoned while the slot is free
     Cycles when = 0;                    ///< absolute due cycle
@@ -147,26 +153,56 @@ class EventSlab
     }
 
     /**
-     * Return @p idx to the free list: destroy the callable, bump the
-     * generation (invalidating every outstanding EventId for the
-     * slot), and poison the callable storage.
+     * Retire @p idx: bump the generation (invalidating every
+     * outstanding EventId for the slot) and stop counting it live. The
+     * callable stays in place until release().
      */
     void
-    free(std::uint32_t idx)
+    retire(std::uint32_t idx)
     {
         EventRecord& rec = record(idx);
-        PLUS_ASSERT(rec.home != EventRecord::kHomeFree,
+        PLUS_ASSERT(rec.home != EventRecord::kHomeFree &&
+                        rec.home != EventRecord::kHomeRetired,
                     "double free of event record ", idx);
-        rec.fn.reset();
         if (++rec.gen == 0) {
             rec.gen = 1; // keep "gen 0" meaning "never a valid id"
         }
-        rec.home = EventRecord::kHomeFree;
-        rec.prev = kNilRecord;
-        rec.next = freeHead_;
-        freeHead_ = idx;
+        rec.home = EventRecord::kHomeRetired;
         --live_;
+    }
+
+    /**
+     * Return retired @p idx to the free list: destroy the callable and
+     * poison its storage.
+     */
+    void
+    release(std::uint32_t idx)
+    {
+        EventRecord& rec = record(idx);
+        PLUS_ASSERT(rec.home == EventRecord::kHomeRetired,
+                    "release of unretired event record ", idx);
+        rec.fn.reset();
+        rec.home = EventRecord::kHomeFree;
+        rec.next = freeHead_; // allocate() resets both links
+        freeHead_ = idx;
         PLUS_SIM_POISON(&rec.fn, sizeof(rec.fn));
+    }
+
+    /** Retire and release @p idx at once (a cancelled event). */
+    void
+    free(std::uint32_t idx)
+    {
+        retire(idx);
+        release(idx);
+    }
+
+    /** Hint the cache to load record @p idx (both of its lines). */
+    void
+    prefetch(std::uint32_t idx) const
+    {
+        const auto* bytes = reinterpret_cast<const char*>(&(*this)[idx]);
+        __builtin_prefetch(bytes);
+        __builtin_prefetch(bytes + sizeof(EventRecord) - 1);
     }
 
     EventRecord&
@@ -184,7 +220,7 @@ class EventSlab
     /** Total slots ever created (live + free). */
     std::size_t size() const { return chunks_.size() * kChunkSize; }
 
-    /** Records currently allocated. */
+    /** Records allocated and not yet retired. */
     std::size_t live() const { return live_; }
 
     /** Peak simultaneous live records. */

@@ -17,12 +17,18 @@ constexpr auto kPreLater = [](const auto& a, const auto& b) {
 
 /** Key tiebreak within one level-0 slot (equal `when` by invariant). */
 bool
+tieLess(const EventRecord& a, Cycles b_sched_when, std::uint64_t b_key2)
+{
+    if (a.schedWhen != b_sched_when) {
+        return a.schedWhen < b_sched_when;
+    }
+    return a.key2 < b_key2;
+}
+
+bool
 tieLess(const EventRecord& a, const EventRecord& b)
 {
-    if (a.schedWhen != b.schedWhen) {
-        return a.schedWhen < b.schedWhen;
-    }
-    return a.key2 < b.key2;
+    return tieLess(a, b.schedWhen, b.key2);
 }
 
 } // namespace
@@ -85,6 +91,17 @@ TimingWheel::fileAt(std::uint32_t idx, Cycles when)
     const unsigned home = level * kSlots + slot;
 
     rec.home = static_cast<std::uint16_t>(home);
+    // Level-0 slots hold exactly one timestamp and are dispatched
+    // head-first, so keep them sorted by the EventKey tiebreak. The
+    // tail's key is cached, so the common in-order case appends
+    // without reading the tail record. Higher levels are unordered
+    // staging: the cascade refiles the whole list and level 0 sorts it.
+    const bool append = tails_[home] == kNilRecord || level > 0 ||
+                        !tieLess(rec, tailKey_[slot].schedWhen,
+                                 tailKey_[slot].key2);
+    if (level == 0 && append) {
+        tailKey_[slot] = TailKey{rec.schedWhen, rec.key2};
+    }
     if (tails_[home] == kNilRecord) {
         rec.next = kNilRecord;
         rec.prev = kNilRecord;
@@ -94,19 +111,16 @@ TimingWheel::fileAt(std::uint32_t idx, Cycles when)
         levelMask_ |= 1U << level;
         return;
     }
-    if (level > 0) {
-        // Higher levels are unordered staging: the cascade refiles the
-        // whole list and level 0 re-sorts it, so O(1) append is fine.
+    if (append) {
         rec.next = kNilRecord;
         rec.prev = tails_[home];
         slab_[tails_[home]].next = idx;
         tails_[home] = idx;
         return;
     }
-    // Level-0 slots hold exactly one timestamp and are dispatched
-    // head-first, so keep the list sorted by the EventKey tiebreak.
-    // Scan from the tail: machine-context keys arrive in ascending
-    // order (O(1)), node-context ties only scan their own cycle.
+    // Scan back from the tail: machine-context keys arrive in
+    // ascending order (the append above), node-context ties only scan
+    // their own cycle.
     std::uint32_t at = tails_[home];
     while (at != kNilRecord && tieLess(rec, slab_[at])) {
         at = slab_[at].prev;
@@ -141,6 +155,10 @@ TimingWheel::unlink(std::uint32_t idx, unsigned home)
         slab_[rec.next].prev = rec.prev;
     } else {
         tails_[home] = rec.prev;
+        if (home < kSlots && rec.prev != kNilRecord) {
+            const EventRecord& tail = slab_[rec.prev];
+            tailKey_[home] = TailKey{tail.schedWhen, tail.key2};
+        }
     }
     if (heads_[home] == kNilRecord) {
         const unsigned level = home / kSlots;
@@ -149,6 +167,19 @@ TimingWheel::unlink(std::uint32_t idx, unsigned home)
             levelMask_ &= ~(1U << level);
         }
     }
+}
+
+std::uint32_t
+TimingWheel::popHead(unsigned slot)
+{
+    const std::uint32_t idx = heads_[slot];
+    unlink(idx, slot);
+    // The new head is most likely the next event dispatched: start
+    // loading its record while this one's callback runs.
+    if (heads_[slot] != kNilRecord) {
+        slab_.prefetch(heads_[slot]);
+    }
+    return idx;
 }
 
 void
@@ -200,6 +231,21 @@ TimingWheel::extractNext(Cycles limit)
         }
     }
 
+    // Level-0 fast path: an occupied near slot lies inside the
+    // cursor's 64-cycle window, before every higher-level slot, so it
+    // holds the next event and no other level needs scanning.
+    if (pending_[0] != 0) {
+        const unsigned slot =
+            static_cast<unsigned>(std::countr_zero(pending_[0]));
+        PLUS_ASSERT(slot >= cursorSlot(0), "wheel slot behind cursor");
+        const Cycles when = lowerBound(0, slot);
+        if (when > limit) {
+            return kNilRecord;
+        }
+        cursor_ = when;
+        return popHead(slot);
+    }
+
     for (;;) {
         int bestLevel = -1;
         Cycles bestLb = 0;
@@ -234,9 +280,7 @@ TimingWheel::extractNext(Cycles limit)
              (kSlots - 1));
         if (level == 0) {
             // Level-0 slots hold exactly one timestamp; pop the head.
-            const std::uint32_t idx = heads_[home];
-            unlink(idx, home);
-            return idx;
+            return popHead(home);
         }
 
         // Cascade: refile the whole slot list (in order) now that the

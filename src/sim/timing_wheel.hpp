@@ -80,11 +80,21 @@ class TimingWheel
 
     void fileAt(std::uint32_t idx, Cycles when);
     void unlink(std::uint32_t idx, unsigned home);
+    /** Unlink and return the head of level-0 @p slot. */
+    std::uint32_t popHead(unsigned slot);
     std::uint32_t popPre(Cycles limit);
+
+    /** The EventKey tiebreak of a level-0 slot's tail record. */
+    struct TailKey {
+        Cycles schedWhen = 0;
+        std::uint64_t key2 = 0;
+    };
 
     EventSlab& slab_;
     std::uint32_t heads_[kLevels * kSlots];
     std::uint32_t tails_[kLevels * kSlots];
+    /** Per level-0 slot; valid while the slot is non-empty. */
+    TailKey tailKey_[kSlots];
     std::uint64_t pending_[kLevels] = {};  ///< occupied-slot bitmap per level
     std::uint32_t levelMask_ = 0;          ///< non-empty levels
     Cycles cursor_ = 0;

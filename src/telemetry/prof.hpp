@@ -66,6 +66,7 @@ enum class Phase : std::uint8_t {
     ProcDispatch, ///< processor fiber dispatch (mem ops run inside)
     ProtoHandle,  ///< coherence-manager message handler
     NetDeliver,   ///< network packet delivery + handler upcall
+    CheckObserve, ///< checker hook fan-out (trace ring + sub-checkers)
     NumPhases
 };
 
@@ -77,6 +78,7 @@ constexpr const char* kPhaseNames[kNumPhases] = {
     "proc.dispatch",
     "proto.handle",
     "net.deliver",
+    "check.observe",
 };
 
 /** Flight-recorder depth per thread (power of two). */

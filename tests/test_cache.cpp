@@ -188,6 +188,45 @@ TEST(Cache, FlushedWaysRefillWithoutEvictions)
     EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
+TEST(Cache, NeverFilledCacheHoldsNoLinesAndMissesEveryProbe)
+{
+    Cache cache(CostModel{}, SnoopPolicy::Invalidate);
+    EXPECT_EQ(cache.storageBytes(), 0u);
+    for (FrameId frame = 0; frame < 4; ++frame) {
+        for (Addr word = 0; word < kPageWords; word += 37) {
+            EXPECT_FALSE(cache.accessWrite(frame, word));
+            cache.snoop(frame, word);
+        }
+    }
+    cache.flush();
+    EXPECT_EQ(cache.storageBytes(), 0u);
+    const Cache::Stats& stats = cache.stats();
+    EXPECT_EQ(stats.hits + stats.misses + stats.evictions, 0u);
+    EXPECT_EQ(stats.snoopUpdates + stats.snoopInvalidates, 0u);
+}
+
+TEST(Cache, FirstFillAllocatesLinesAndPicksWayZero)
+{
+    Cache cache(fourWayCache());
+    EXPECT_EQ(cache.storageBytes(), 0u);
+    EXPECT_FALSE(cache.accessRead(0, wordOfLine(0)));
+    EXPECT_GT(cache.storageBytes(), 0u);
+    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    // The first fill took an invalid way; the other three still fill
+    // without evicting, and the fifth line evicts the first (LRU).
+    for (unsigned line : {4u, 8u, 12u}) {
+        EXPECT_FALSE(cache.accessRead(0, wordOfLine(line)));
+    }
+    EXPECT_EQ(cache.stats().evictions, 0u);
+    EXPECT_FALSE(cache.accessRead(0, wordOfLine(16)));
+    EXPECT_EQ(cache.stats().evictions, 1u);
+    EXPECT_FALSE(cache.accessRead(0, wordOfLine(0)));
+    EXPECT_TRUE(cache.accessRead(0, wordOfLine(12)));
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().misses, 6u);
+}
+
 TEST(Cache, PaperGeometry)
 {
     // 32 Kbyte, 4-word lines, 2 ways: 2048 lines, 1024 sets.

@@ -13,15 +13,18 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/id_map.hpp"
 #include "common/panic.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "common/tag_slots.hpp"
 #include "common/types.hpp"
 
 namespace plus {
@@ -579,6 +582,63 @@ TEST(Stats, SafeRatio)
     EXPECT_EQ(safeRatio(0, 0), 0.0);
     EXPECT_EQ(safeRatio(-6, 3), -2.0);
     EXPECT_EQ(safeRatio(0, 5), 0.0);
+}
+
+// --- flat tables ---------------------------------------------------------
+
+TEST(TagSlots, ReusesFreedSlotsAndIteratesInSlotOrder)
+{
+    TagSlots<int> slots(2);
+    slots.insert(7, 70);
+    slots.insert(9, 90);
+    slots.insert(4, 40); // grows a third slot
+    EXPECT_EQ(slots.size(), 3u);
+    EXPECT_EQ(slots.take(9), 90);
+    EXPECT_FALSE(slots.contains(9));
+    slots.insert(12, 120); // reuses the freed middle slot
+    std::vector<std::uint32_t> order;
+    slots.forEach([&](std::uint32_t tag, int) { order.push_back(tag); });
+    EXPECT_EQ(order, (std::vector<std::uint32_t>{7, 12, 4}));
+    EXPECT_FALSE(slots.erase(9));
+    EXPECT_TRUE(slots.erase(7));
+    ASSERT_NE(slots.find(12), nullptr);
+    EXPECT_EQ(*slots.find(12), 120);
+    EXPECT_EQ(slots.find(0), nullptr); // the free-slot marker is no key
+    EXPECT_THROW(slots.insert(0, 1), PanicError);
+    slots.clear();
+    EXPECT_TRUE(slots.empty());
+}
+
+TEST(IdMap, MatchesAnOrderedMapUnderRandomChurn)
+{
+    // Dense, clustered ids like chain ids (node << 32 | counter) force
+    // long probe runs, so erase's backward shift gets exercised.
+    IdMap<std::uint64_t> map;
+    std::map<std::uint64_t, std::uint64_t> reference;
+    Xoshiro256 rng(17);
+    for (int step = 0; step < 20000; ++step) {
+        const std::uint64_t id =
+            (rng.below(4) << 32U) | (1 + rng.below(300));
+        if (rng.below(3) == 0) {
+            EXPECT_EQ(map.erase(id), reference.erase(id) == 1);
+        } else if (!reference.count(id)) {
+            map.insert(id, id * 3);
+            reference[id] = id * 3;
+        }
+        ASSERT_EQ(map.size(), reference.size());
+    }
+    for (const auto& [id, value] : reference) {
+        ASSERT_NE(map.find(id), nullptr) << id;
+        EXPECT_EQ(*map.find(id), value);
+    }
+    std::size_t visited = 0;
+    map.forEach([&](std::uint64_t& value) {
+        EXPECT_EQ(reference.at(value / 3), value);
+        ++visited;
+    });
+    EXPECT_EQ(visited, reference.size());
+    EXPECT_FALSE(map.contains(0));
+    EXPECT_THROW(map.insert(0, 1), PanicError);
 }
 
 } // namespace

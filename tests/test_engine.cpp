@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -220,6 +222,72 @@ TEST(Engine, CancelOfFiredIdReturnsFalse)
     EXPECT_FALSE(engine.cancel(id));
     engine.run();
     EXPECT_TRUE(ran);
+}
+
+TEST(Engine, CallbackCancellingItsOwnIdGetsFalse)
+{
+    for (const EngineImpl impl : {EngineImpl::Wheel, EngineImpl::Heap}) {
+        Engine engine(impl);
+        EventId self = kInvalidEvent;
+        bool cancelled = true;
+        self = engine.schedule(5, [&] { cancelled = engine.cancel(self); });
+        engine.run();
+        EXPECT_FALSE(cancelled);
+        EXPECT_EQ(engine.stats().cancelled, 0u);
+        EXPECT_EQ(engine.stats().slabLive, 0u);
+    }
+}
+
+TEST(Engine, CallbackGrowingTheSlabKeepsItsRecord)
+{
+    // The callable runs in place in its slab record; scheduling enough
+    // events to add slab chunks must leave its captures intact.
+    for (const EngineImpl impl : {EngineImpl::Wheel, EngineImpl::Heap}) {
+        Engine engine(impl);
+        const std::array<std::uint64_t, 4> payload{11, 22, 33, 44};
+        std::uint64_t sum = 0;
+        std::size_t slotsDuring = 0;
+        engine.schedule(1, [&engine, &sum, &slotsDuring, payload] {
+            for (unsigned i = 0; i < 3 * EventSlab::kChunkSize; ++i) {
+                engine.schedule(i + 1, [] {});
+            }
+            slotsDuring = engine.stats().slabSlots;
+            for (const std::uint64_t v : payload) {
+                sum += v;
+            }
+        });
+        engine.run();
+        EXPECT_GT(slotsDuring, 3u * EventSlab::kChunkSize);
+        EXPECT_EQ(sum, 110u);
+        EXPECT_EQ(engine.stats().executed, 1u + 3 * EventSlab::kChunkSize);
+        EXPECT_EQ(engine.stats().slabLive, 0u);
+    }
+}
+
+TEST(Engine, ThrowingCallbackLeavesCountsConsistent)
+{
+    for (const EngineImpl impl : {EngineImpl::Wheel, EngineImpl::Heap}) {
+        Engine engine(impl);
+        // Fill exactly one slab chunk: the thrower plus the others.
+        constexpr unsigned kOthers = EventSlab::kChunkSize - 1;
+        unsigned ran = 0;
+        engine.schedule(1, [] { throw std::runtime_error("boom"); });
+        for (unsigned i = 0; i < kOthers; ++i) {
+            engine.schedule(2, [&] { ++ran; });
+        }
+        EXPECT_THROW(engine.run(), std::runtime_error);
+        EXPECT_EQ(engine.pendingEvents(), kOthers);
+        EXPECT_EQ(engine.stats().slabLive, kOthers);
+        EXPECT_EQ(engine.currentLane(), kMachineLane);
+        // The thrower's record went back to the free list, so one more
+        // event still fits the single chunk.
+        engine.schedule(1, [&] { ++ran; });
+        EXPECT_EQ(engine.stats().slabSlots, EventSlab::kChunkSize);
+        engine.run();
+        EXPECT_EQ(ran, kOthers + 1);
+        EXPECT_EQ(engine.pendingEvents(), 0u);
+        EXPECT_EQ(engine.stats().slabLive, 0u);
+    }
 }
 
 TEST(Engine, ScheduleAtNowExecutesThisCycle)

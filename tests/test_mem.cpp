@@ -266,6 +266,50 @@ TEST(CoherenceTables, EraseDropsBoth)
     EXPECT_THROW(tables.master(4), PanicError);
 }
 
+TEST(CoherenceTables, EraseThenSetAgain)
+{
+    CoherenceTables tables;
+    tables.setMaster(4, PhysPage{0, 9});
+    tables.setNextCopy(4, PhysPage{2, 3});
+    tables.erase(4);
+    EXPECT_FALSE(tables.nextCopy(4).has_value());
+    tables.setMaster(4, PhysPage{1, 7});
+    EXPECT_TRUE(tables.knows(4));
+    EXPECT_EQ(tables.master(4), (PhysPage{1, 7}));
+    EXPECT_FALSE(tables.nextCopy(4).has_value()); // erase cleared it
+    tables.setNextCopy(4, PhysPage{3, 1});
+    EXPECT_EQ(tables.nextCopy(4), (PhysPage{3, 1}));
+}
+
+TEST(CoherenceTables, ClearingNextCopyKeepsTheMaster)
+{
+    CoherenceTables tables;
+    tables.setMaster(2, PhysPage{0, 5});
+    tables.setNextCopy(2, PhysPage{1, 6});
+    tables.setNextCopy(2, std::nullopt);
+    EXPECT_FALSE(tables.nextCopy(2).has_value());
+    EXPECT_TRUE(tables.knows(2));
+    EXPECT_EQ(tables.master(2), (PhysPage{0, 5}));
+}
+
+TEST(CoherenceTables, UnknownFramesHaveNoEntries)
+{
+    CoherenceTables tables;
+    EXPECT_FALSE(tables.knows(0));
+    EXPECT_FALSE(tables.nextCopy(1000).has_value());
+    EXPECT_THROW(tables.master(1000), PanicError);
+    tables.setMaster(10, PhysPage{0, 1});
+    // Frames below and above a known one stay unknown.
+    EXPECT_FALSE(tables.knows(9));
+    EXPECT_FALSE(tables.knows(11));
+    EXPECT_FALSE(tables.nextCopy(9).has_value());
+    EXPECT_THROW(tables.master(9), PanicError);
+    // Clearing or erasing an unknown frame is a no-op.
+    tables.setNextCopy(500, std::nullopt);
+    tables.erase(500);
+    EXPECT_FALSE(tables.knows(500));
+}
+
 // --- RefCounters ----------------------------------------------------------------
 
 TEST(RefCounters, FiresExactlyAtThreshold)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -150,6 +151,18 @@ TEST_F(NetworkTest, SerializationRoundsUp)
     // 8 header + 1 payload = 9 bytes at 0.8 B/cycle = 11.25 -> 12.
     EXPECT_EQ(network_->serializationCycles(1), 12u);
     EXPECT_EQ(network_->serializationCycles(0), 10u);
+}
+
+TEST_F(NetworkTest, IntegerSerializationMatchesTheFloatingPointForm)
+{
+    build(false);
+    for (unsigned payload = 0; payload <= 65535; ++payload) {
+        const double bytes = NetworkConfig::headerBytes + payload;
+        const auto reference = static_cast<Cycles>(
+            std::ceil(bytes / NetworkConfig::bytesPerCycle));
+        ASSERT_EQ(network_->serializationCycles(payload), reference)
+            << "payload " << payload;
+    }
 }
 
 TEST_F(NetworkTest, SelfSendIsRejected)

@@ -305,6 +305,56 @@ TEST(PendingWrites, DuplicateAddressesBothBlockReads)
     EXPECT_EQ(fired, 1);
 }
 
+TEST(PendingWrites, SlotsAreReusedAsTagsRunPastCapacity)
+{
+    // Tags keep counting up while the three slots are recycled, and
+    // completing out of issue order frees exactly the acknowledged slot.
+    PendingWrites pw(3);
+    std::vector<PendingWrites::Tag> live;
+    for (Addr word = 0; word < 3; ++word) {
+        live.push_back(pw.insert(1, word));
+    }
+    for (unsigned round = 0; round < 20; ++round) {
+        EXPECT_TRUE(pw.full());
+        const std::size_t done = round % live.size();
+        const PendingWrites::Tag tag = live[done];
+        pw.complete(tag);
+        EXPECT_EQ(pw.inFlight(), 2u);
+        EXPECT_THROW(pw.complete(tag), PanicError); // retired once
+        live[done] = pw.insert(2, 100 + round);
+        EXPECT_GT(live[done], tag);
+        EXPECT_TRUE(pw.pendingOn(2, 100 + round));
+    }
+    EXPECT_EQ(live[19 % live.size()], 23u); // the 23rd write's tag
+    for (const PendingWrites::Tag tag : live) {
+        pw.complete(tag);
+    }
+    EXPECT_TRUE(pw.empty());
+    EXPECT_FALSE(pw.pendingOn(2, 119));
+}
+
+TEST(PendingWrites, PendingOnMatchesVpnAndOffsetTogether)
+{
+    PendingWrites pw(4);
+    const auto a = pw.insert(3, 7);
+    const auto b = pw.insert(4, 8);
+    EXPECT_TRUE(pw.pendingOn(3, 7));
+    EXPECT_TRUE(pw.pendingOn(4, 8));
+    EXPECT_FALSE(pw.pendingOn(3, 8));
+    EXPECT_FALSE(pw.pendingOn(4, 7));
+    pw.complete(a);
+    EXPECT_FALSE(pw.pendingOn(3, 7));
+    EXPECT_TRUE(pw.pendingOn(4, 8));
+    // A new write reusing a's slot is found at its own address.
+    const auto c = pw.insert(5, 9);
+    EXPECT_TRUE(pw.pendingOn(5, 9));
+    EXPECT_FALSE(pw.pendingOn(3, 7));
+    pw.complete(b);
+    pw.complete(c);
+    EXPECT_FALSE(pw.pendingOn(4, 8));
+    EXPECT_FALSE(pw.pendingOn(5, 9));
+}
+
 TEST(PendingWrites, HighWaterMark)
 {
     PendingWrites pw(8);
